@@ -53,7 +53,7 @@ def test_perf_stream_service(benchmark, core, qmodel, n_sessions):
     multiplexed through one batched inference path."""
     nl = core.netlist
     meter = OpmMeter(qmodel, t=8)
-    sim = Simulator(nl, engine="packed")
+    sim = Simulator(nl)
     rng = np.random.default_rng(1)
     stims = [
         rng.integers(

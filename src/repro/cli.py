@@ -51,7 +51,7 @@ from pathlib import Path
 
 from repro.config import SCALES
 from repro.experiments import EXPERIMENTS, ExperimentContext, run_experiment
-from repro.rtl.simulator import ENGINES
+from repro.rtl.simulator import DEFAULT_ENGINE, ENGINES
 
 __all__ = ["main"]
 
@@ -659,7 +659,7 @@ def main(argv: list[str] | None = None) -> int:
         help="OPM averaging window (power of two)",
     )
     p_stream.add_argument(
-        "--engine", choices=list(ENGINES), default="packed"
+        "--engine", choices=list(ENGINES), default=DEFAULT_ENGINE
     )
     p_stream.add_argument("--queue-depth", type=int, default=8)
     p_stream.add_argument("--pump-blocks", type=int, default=1)
@@ -804,7 +804,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_chaos.add_argument("--scale", choices=list(SCALES), default=None)
     p_chaos.add_argument(
-        "--engine", choices=list(ENGINES), default="packed"
+        "--engine", choices=list(ENGINES), default=DEFAULT_ENGINE
     )
     p_chaos.add_argument(
         "--workers", type=int, default=2,

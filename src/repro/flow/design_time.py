@@ -25,7 +25,7 @@ import numpy as np
 from repro.errors import ReproError
 from repro.obs.trace import Tracer
 from repro.power.analyzer import PowerAnalyzer
-from repro.rtl.simulator import RecordSpec, Simulator
+from repro.rtl.simulator import DEFAULT_ENGINE, RecordSpec, Simulator
 from repro.uarch.pipeline import Pipeline
 
 __all__ = ["FlowEstimate", "DesignTimeFlow", "inference_seconds_per_1e9"]
@@ -71,7 +71,7 @@ class DesignTimeFlow:
     """APOLLO-based per-cycle power estimation for one core + model."""
 
     def __init__(
-        self, core, model, engine: str = "packed", tracer=None
+        self, core, model, engine: str = DEFAULT_ENGINE, tracer=None
     ) -> None:
         self.core = core
         self.model = model

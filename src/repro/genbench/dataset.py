@@ -35,6 +35,7 @@ from repro.parallel.tasks import (
     state_key_for,
 )
 from repro.power.analyzer import PowerAnalyzer
+from repro.rtl.simulator import DEFAULT_ENGINE
 from repro.rtl.trace import ToggleTrace
 
 __all__ = [
@@ -189,7 +190,7 @@ def _simulate_benchmarks(
     core,
     runs: list[tuple[str, object, int, object]],
     batch_group: int = 8,
-    engine: str = "packed",
+    engine: str = DEFAULT_ENGINE,
     workers: int = 1,
     cache: EvalCache | None = None,
     pool: WorkerPool | None = None,
@@ -364,7 +365,7 @@ def build_training_dataset(
     target_cycles: int,
     replay_cycles: int = 300,
     seed: int = 0,
-    engine: str = "packed",
+    engine: str = DEFAULT_ENGINE,
     workers: int = 1,
     cache: EvalCache | None = None,
     checkpoints: CheckpointStore | None = None,
@@ -404,7 +405,7 @@ def build_training_dataset(
 def build_testing_dataset(
     core,
     cycle_scale: float = 1.0,
-    engine: str = "packed",
+    engine: str = DEFAULT_ENGINE,
     workers: int = 1,
     cache: EvalCache | None = None,
     checkpoints: CheckpointStore | None = None,

@@ -51,7 +51,7 @@ from repro.isa.program import (
 )
 from repro.isa.instructions import IClass, Opcode
 from repro.power.analyzer import PowerAnalyzer
-from repro.rtl.simulator import RecordSpec, Simulator
+from repro.rtl.simulator import DEFAULT_ENGINE, RecordSpec, Simulator
 from repro.uarch.pipeline import Pipeline
 
 __all__ = ["GaConfig", "GaIndividual", "GaResult", "BenchmarkEvolver"]
@@ -204,7 +204,7 @@ class BenchmarkEvolver:
         self,
         core,
         config: GaConfig | None = None,
-        engine: str = "packed",
+        engine: str = DEFAULT_ENGINE,
         tracer=None,
         workers: int = 1,
         cache: EvalCache | None = None,

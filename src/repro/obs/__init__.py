@@ -14,9 +14,8 @@ layer shared by every subsystem:
 * :mod:`repro.obs.hist` — :class:`LogHistogram`, exact log-bucketed
   mergeable latency histograms whose quantiles come from bucket ranks,
   never sampling;
-* :mod:`repro.obs.metrics` — the Counter/Gauge/Histogram registry
-  promoted from ``repro.stream.metrics`` (which remains as a re-export
-  shim) so any layer can publish operational metrics;
+* :mod:`repro.obs.metrics` — the Counter/Gauge/Histogram registry any
+  layer can publish operational metrics into;
 * :mod:`repro.obs.expo` — OpenMetrics text exposition and its parser,
   backing the gateway's ``GET /metrics`` side port and ``apollo-repro
   obs top``;

@@ -29,7 +29,7 @@ from repro.design import build_core
 from repro.genbench import BenchmarkEvolver, GaConfig, build_training_dataset
 from repro.obs.provenance import RunManifest
 from repro.obs.trace import Tracer, load_trace, render_tree
-from repro.rtl.simulator import ENGINES
+from repro.rtl.simulator import DEFAULT_ENGINE, ENGINES
 from repro.uarch import CoreParams
 
 __all__ = ["run_demo", "main"]
@@ -73,7 +73,7 @@ _DEMO_GA = dict(
 )
 
 
-def run_demo(out_dir: str | Path, engine: str = "packed", q: int = 8):
+def run_demo(out_dir: str | Path, engine: str = DEFAULT_ENGINE, q: int = 8):
     """Run the traced tiny pipeline; returns ``(tracer, manifest, paths)``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -186,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
         help="output directory for trace.json / trace.jsonl / manifest.json",
     )
     parser.add_argument(
-        "--engine", choices=list(ENGINES), default="packed"
+        "--engine", choices=list(ENGINES), default=DEFAULT_ENGINE
     )
     parser.add_argument("--q", type=int, default=8)
     args = parser.parse_args(argv)

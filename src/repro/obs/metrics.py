@@ -1,15 +1,13 @@
 """Shared operational metrics: counters, gauges, histograms.
 
-Promoted from ``repro.stream.metrics`` (kept there as a re-export shim)
-so *every* layer — the GA, the solvers, the flows, the streaming service
-— can publish into one registry.  The vocabulary stays deliberately
+*Every* layer — the GA, the solvers, the flows, the streaming service —
+publishes into one registry.  The vocabulary stays deliberately
 small and Prometheus-flavored, and ``snapshot()`` is plain
 JSON-serializable data, so fleet tooling can scrape a run without
 touching NumPy objects.
 
-Misuse keeps raising :class:`~repro.errors.StreamError` — the type the
-registry raised before the promotion — so existing callers' error
-handling is unchanged.
+Misuse raises :class:`~repro.errors.StreamError`, the type the registry
+has always raised, so callers' error handling is unchanged.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Lane-sharding: spread one large simulation across pool workers.
 
 One batched simulation with hundreds of stimulus lanes is a single
-serial cycle loop — even the packed engine processes its 64-lane words
-one micro-op at a time in one process.  :func:`run_sharded` splits the
+serial cycle loop — even the compiled engine processes its 64-lane
+words one micro-op at a time in one process.  :func:`run_sharded` splits the
 *batch axis* into contiguous shards on 64-lane word boundaries, maps
 them over a :class:`~repro.parallel.pool.WorkerPool`, and concatenates
 the shard results back into one :class:`~repro.rtl.simulator.SimResult`.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.rtl.simulator import RecordSpec, SimResult
+from repro.rtl.simulator import DEFAULT_ENGINE, RecordSpec, SimResult
 from repro.rtl.trace import ToggleTrace
 from repro.parallel.pool import WorkerPool
 from repro.parallel.tasks import (
@@ -38,7 +38,7 @@ def lane_shards(batch: int, workers: int) -> list[slice]:
 
     At most ``workers`` shards; a batch spanning fewer than two lane
     words is never split (there is nothing to parallelize below word
-    granularity for the packed engines).
+    granularity for the compiled engine).
     """
     words = (batch + 63) // 64
     n = max(1, min(workers, words))
@@ -56,7 +56,7 @@ def run_sharded(
     stimulus: np.ndarray,
     record: RecordSpec,
     pool: WorkerPool,
-    engine: str = "packed",
+    engine: str = DEFAULT_ENGINE,
     init_values: np.ndarray | None = None,
     simulator=None,
 ) -> SimResult:

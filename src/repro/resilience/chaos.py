@@ -34,6 +34,7 @@ from repro.errors import AdmissionError, ResilienceError, TransientFault
 from repro.obs.trace import NULL_TRACER
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.faults import FaultInjector, FaultPlan
+from repro.rtl.simulator import DEFAULT_ENGINE
 
 __all__ = [
     "CHAOS_SITES",
@@ -84,7 +85,7 @@ class ChaosReport:
     faulted_seconds: float
     design: str = "m0"
     scale: str = "tiny"
-    engine: str = "packed"
+    engine: str = DEFAULT_ENGINE
     workers: int = 2
     out_dir: str | None = None
     stages: dict = field(default_factory=dict)
@@ -281,7 +282,7 @@ def run_chaos(
     seed: int = 0,
     design: str = "m0",
     scale: str | None = "tiny",
-    engine: str = "packed",
+    engine: str = DEFAULT_ENGINE,
     workers: int = 2,
     out_dir: str | Path | None = None,
     plan: FaultPlan | None = None,

@@ -34,6 +34,9 @@ from __future__ import annotations
 
 import os
 import signal
+import time
+from concurrent.futures import TimeoutError as FutureTimeout
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +52,11 @@ __all__ = [
     "FaultySource",
     "truncate_file",
 ]
+
+#: Bound on how long :meth:`FaultInjector.kill_one_worker` waits for the
+#: killed worker to exit and for its executor to report the breakage.
+_KILL_WAIT_S = 5.0
+
 
 #: site -> kinds a random plan may schedule there.
 DEFAULT_SITES: dict[str, tuple[str, ...]] = {
@@ -211,7 +219,14 @@ class FaultInjector:
         return specs
 
     def kill_one_worker(self, executor) -> bool:
-        """SIGKILL one live process of a ``ProcessPoolExecutor``."""
+        """SIGKILL one live process of a ``ProcessPoolExecutor``.
+
+        Returns once the executor is broken (or after
+        :data:`_KILL_WAIT_S` seconds).  The executor's manager thread handles ready results
+        before dead-worker sentinels, so without the wait a surviving
+        worker could finish the caller's next ``map`` before the death
+        is noticed, and the injected fault would never surface.
+        """
         procs = list(getattr(executor, "_processes", {}).values())
         if not any(p.is_alive() for p in procs):
             # Executors spawn workers lazily on first submit; force one
@@ -221,6 +236,8 @@ class FaultInjector:
         for proc in procs:
             if proc.is_alive() and proc.pid:
                 os.kill(proc.pid, signal.SIGKILL)
+                proc.join(_KILL_WAIT_S)
+                _await_broken(executor, time.monotonic() + _KILL_WAIT_S)
                 return True
         return False
 
@@ -237,6 +254,19 @@ class FaultInjector:
                 for site, kind, at in self.fired
             ],
         }
+
+
+def _await_broken(executor, deadline: float) -> None:
+    """Probe ``executor`` until it reports :class:`BrokenProcessPool`
+    or ``deadline`` (a ``time.monotonic()`` value) passes."""
+    while time.monotonic() < deadline:
+        try:
+            executor.submit(os.getpid).result(
+                timeout=max(0.0, deadline - time.monotonic())
+            )
+        except (BrokenProcessPool, FutureTimeout):
+            return
+        time.sleep(0.001)
 
 
 class FaultySource:

@@ -17,7 +17,13 @@ from repro.rtl.levelize import (
     compile_packed,
 )
 from repro.rtl.trace import ToggleTrace, pack_lanes, unpack_lanes
-from repro.rtl.simulator import Simulator, SimResult, RecordSpec, ENGINES
+from repro.rtl.simulator import (
+    DEFAULT_ENGINE,
+    ENGINES,
+    RecordSpec,
+    SimResult,
+    Simulator,
+)
 
 __all__ = [
     "Op",
@@ -36,4 +42,5 @@ __all__ = [
     "SimResult",
     "RecordSpec",
     "ENGINES",
+    "DEFAULT_ENGINE",
 ]

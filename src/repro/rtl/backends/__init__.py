@@ -1,9 +1,10 @@
 """Pluggable simulation backends.
 
-Importing this package registers the built-in engines — ``"packed"``
-(default), ``"uint8"`` (reference), and ``"compiled"`` (native kernel)
-— with the registry in :mod:`repro.rtl.backends.base`.  All backends
-are bit-identical by contract; they differ only in throughput.
+Importing this package registers the built-in engines — ``"compiled"``
+(default: a runtime-compiled C kernel, or its NumPy loop when no
+compiler is available) and ``"uint8"`` (reference) — with the registry
+in :mod:`repro.rtl.backends.base`.  All backends are bit-identical by
+contract; they differ only in throughput.
 """
 
 from repro.rtl.backends.base import (
@@ -17,19 +18,16 @@ from repro.rtl.backends.base import (
 )
 
 # Importing the engine modules registers them (order defines the public
-# ENGINES order: packed first, as it is the default).
-from repro.rtl.backends.packed import PackedBackend
+# ENGINES order: compiled first, as it is the default).
+from repro.rtl.backends.compiled import CompiledBackend
 from repro.rtl.backends.uint8 import Uint8Backend
-from repro.rtl.backends.compiled import CompiledBackend, compiled_impl
 
 __all__ = [
     "Backend",
     "CompiledBackend",
-    "PackedBackend",
     "Uint8Backend",
     "acc_reduce",
     "backend_names",
-    "compiled_impl",
     "eval_comb",
     "get_backend",
     "initial_values",

@@ -1,13 +1,39 @@
-"""Runtime-compiled C implementation of the compiled-backend kernel.
+"""Runtime-compiled C kernel of the compiled backend.
 
-A line-for-line transliteration of :func:`repro.rtl.backends.kernel.
-run_cycles`, compiled once per host with the system C compiler and
-loaded via :mod:`ctypes`.  The shared object is cached under
-``~/.cache/repro-apollo`` keyed by a hash of the source, so the compile
-cost (a fraction of a second) is paid once per machine, not per
-process.  Every failure mode — no compiler, compile error, unwritable
-cache — degrades to ``None`` and the compiled backend falls back to
-the next implementation; nothing here may raise at import time.
+One C cycle loop executes the op tables of
+:mod:`repro.rtl.backends.tables`, compiled once per host with the
+system C compiler and loaded via :mod:`ctypes`.  The shared object is
+cached under ``~/.cache/repro-apollo`` keyed by a hash of the source,
+so the compile cost (a fraction of a second) is paid once per machine,
+not per process.  Every failure mode — no compiler, compile error,
+unwritable cache — degrades :func:`load_kernel` to ``None`` and the
+compiled backend runs its NumPy loop instead; nothing here may raise at
+import time.
+
+Float exactness
+---------------
+The accumulator loop must reproduce ``acc_reduce`` (NumPy's strided
+``sum(axis=0)``) bit for bit.  That reduction is plain sequential
+accumulation in net-id order starting from ``0.0``, so the kernel adds
+``w[t]`` for each set toggle bit in the same order, compiled with
+``-ffp-contract=off`` (no FMA).  Skipping all-zero words is exact: the
+running sum starts at ``+0.0`` and can never become ``-0.0`` under
+round-to-nearest, so adding ``w*0`` (``±0.0``) is always the identity.
+
+Layouts (all arrays flat, C-order):
+
+* ``par``: int64 scalars, in order ``nr, W, cycles, batch, n_in,
+  in_row, n_nets, n_acc, has_trace, nbytes, n_cols, n_alias,
+  alias_start, clk_free_start, n_clk_free, clk_g_start, n_clk_g,
+  need_tog``.
+* ``arena``: ``(arena_rows, W)`` uint64 — see
+  :mod:`repro.rtl.backends.tables` for the row map.
+* ``stim``: ``(cycles, n_in, W)`` uint64 lane words.
+* ``acc_w``: ``(n_acc, n_nets)`` float64; ``acc_out``:
+  ``(n_acc, batch, cycles)`` float64.
+* ``trace_out``: ``(cycles, nbytes, batch)`` uint8, bits MSB-first per
+  byte along the net axis (NumPy ``packbits`` convention).
+* ``cols_out``: ``(batch, cycles, n_cols)`` uint8.
 """
 
 from __future__ import annotations
@@ -258,9 +284,10 @@ def _ptr(arr: np.ndarray):
 def run_cycles_cc(par, arena, tog, prog0, prog1, idx_pool, mask_pool,
                   stim, net_rows, alias_src, acc_w, acc_out, lane_sum,
                   col_rows, cols_out, trace_out) -> None:
-    """Call the C kernel with the Python-kernel argument convention."""
+    """Call the C kernel on NumPy arrays laid out as in the module
+    docstring."""
     fn = load_kernel()
-    assert fn is not None  # impl selection guarantees availability
+    assert fn is not None  # the backend checked availability
     fn(
         _ptr(par), _ptr(arena), _ptr(tog),
         _ptr(prog0), ctypes.c_int64(prog0.shape[0]),

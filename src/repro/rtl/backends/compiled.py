@@ -1,113 +1,54 @@
-"""Compiled backend: the packed micro-program lowered to a native kernel.
+"""The compiled engine: the packed micro-program run by a native kernel.
 
-The ``"compiled"`` engine runs the same polarity-folded, renumbered
-micro-program as the ``"packed"`` engine, but as flat op tables executed
-by a single native cycle loop — toggle recording and the accumulator
+The ``"compiled"`` engine (the default) lowers the netlist to a
+polarity-folded, renumbered micro-program over 64-lane uint64 words
+(:func:`repro.rtl.levelize.compile_packed`) and executes it as flat op
+tables in a single C cycle loop — toggle recording and the accumulator
 reduction included — instead of one NumPy ufunc call per program entry.
 That removes the per-op dispatch overhead *and* the dominant costs of
-the packed engine's recording path (lane unpacking and the per-cycle
-NumPy reduction), which is where the ≥10x over the uint8 reference
-comes from.
+the NumPy recording path (lane unpacking and the per-cycle reduction),
+which is where the ≥10x over the uint8 reference comes from.
 
-Implementation selection, best available first:
-
-1. ``"numba"`` — :func:`repro.rtl.backends.kernel.run_cycles` wrapped
-   in ``numba.njit`` (install via ``pip install .[compiled]``);
-2. ``"cc"`` — the same kernel transliterated to C, compiled at runtime
-   with the system compiler (:mod:`repro.rtl.backends.cc`);
-3. ``"numpy"`` — falls back to the packed engine's vectorized loop
-   (correct everywhere, no speedup).
-
-``REPRO_COMPILED_IMPL`` forces one of ``numba``/``cc``/``numpy``/
-``python`` (the last interprets the kernel un-jitted: slow, used to
-test the Numba kernel's logic on hosts without Numba).  All
-implementations are bit-identical; selection can never change results,
-only throughput.
+The C kernel (:mod:`repro.rtl.backends.cc`) is compiled at runtime with
+the system compiler.  When :func:`~repro.rtl.backends.cc.load_kernel`
+finds no working compiler, the same micro-program runs as a NumPy loop
+(:func:`repro.rtl.backends.packed.run_packed`) instead.  Both paths are
+bit-identical to the uint8 reference; the choice only affects
+throughput.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from repro.errors import SimulationError
 from repro.rtl.backends import cc as _cc
-from repro.rtl.backends import kernel as _kernel
-from repro.rtl.backends.packed import PackedBackend
-from repro.rtl.backends.base import register_backend
+from repro.rtl.backends.base import Backend, register_backend
+from repro.rtl.backends.packed import run_packed
 from repro.rtl.backends.tables import CompiledTables, build_tables
+from repro.rtl.levelize import PackedSchedule, compile_packed
 from repro.rtl.trace import pack_lanes, unpack_lanes
 
-__all__ = ["CompiledBackend", "compiled_impl"]
-
-_IMPLS = ("numba", "cc", "numpy", "python")
-_NUMBA_FN = None  # memoized njit kernel (or False if numba is absent)
-
-
-def _numba_kernel():
-    global _NUMBA_FN
-    if _NUMBA_FN is not None:
-        return _NUMBA_FN or None
-    try:
-        import numba
-    except ImportError:
-        _NUMBA_FN = False
-        return None
-    _NUMBA_FN = numba.njit(cache=True, nogil=True)(_kernel.run_cycles)
-    return _NUMBA_FN
-
-
-_SELECTED = None
-
-
-def compiled_impl() -> str:
-    """Which implementation the ``"compiled"`` engine uses on this host."""
-    global _SELECTED
-    if _SELECTED is None:
-        _SELECTED = _select_impl()
-    return _SELECTED
-
-
-def _select_impl() -> str:
-    forced = os.environ.get("REPRO_COMPILED_IMPL", "").strip().lower()
-    if forced:
-        if forced not in _IMPLS:
-            raise SimulationError(
-                f"REPRO_COMPILED_IMPL={forced!r}; expected one of {_IMPLS}"
-            )
-        if forced == "numba" and _numba_kernel() is None:
-            raise SimulationError(
-                "REPRO_COMPILED_IMPL=numba but numba is not importable; "
-                "install with: pip install .[compiled]"
-            )
-        if forced == "cc" and _cc.load_kernel() is None:
-            raise SimulationError(
-                "REPRO_COMPILED_IMPL=cc but no working C compiler found"
-            )
-        return forced
-    if _numba_kernel() is not None:
-        return "numba"
-    if _cc.load_kernel() is not None:
-        return "cc"
-    return "numpy"
+__all__ = ["CompiledBackend"]
 
 
 @register_backend
-class CompiledBackend(PackedBackend):
-    """Native-kernel engine; falls back to the packed loop sans kernel."""
+class CompiledBackend(Backend):
+    """Packed-lane engine: native C kernel, NumPy loop without a compiler."""
 
     name = "compiled"
     requires_little_endian = True
 
     def __init__(self, netlist, schedule) -> None:
         super().__init__(netlist, schedule)
-        self.impl = compiled_impl()
-        self._tables: CompiledTables | None = (
-            build_tables(self.packed_schedule)
-            if self.impl != "numpy"
-            else None
+        self.packed_schedule: PackedSchedule = compile_packed(
+            netlist, schedule
         )
+        #: ``"cc"`` when the C kernel runs, ``"numpy"`` for the fallback.
+        self.impl = "numpy" if _cc.load_kernel() is None else "cc"
+        self._tables: CompiledTables | None = (
+            build_tables(self.packed_schedule) if self.impl == "cc" else None
+        )
+        self._plans: dict = {}  # NumPy-loop state, per word width
 
     def run(
         self,
@@ -119,20 +60,20 @@ class CompiledBackend(PackedBackend):
         acc_out: dict[str, np.ndarray],
         init_values: np.ndarray | None,
     ) -> np.ndarray:
-        if self.impl == "numpy":
-            return super().run(
-                stim, cols, acc_weights, packed_out, cols_out, acc_out,
-                init_values,
-            )
         psch = self.packed_schedule
-        tab = self._tables
         batch, cycles, n_in = stim.shape
-        W = (batch + 63) // 64
-        nr = tab.n_rows
         if init_values is not None:
             v0 = np.asarray(init_values, dtype=np.uint8)
         else:
             v0 = self.initial_values(batch)
+        tab = self._tables
+        if tab is None:
+            return run_packed(
+                psch, self._plans, v0, stim, cols, acc_weights,
+                packed_out, cols_out, acc_out,
+            )
+        W = (batch + 63) // 64
+        nr = tab.n_rows
         pol_col = psch.pol[:, None]
         stored = np.zeros((nr, batch), dtype=np.uint8)
         stored[psch.row_of_net] = v0 ^ pol_col
@@ -176,13 +117,7 @@ class CompiledBackend(PackedBackend):
         lane_sum = np.zeros(W * 64, dtype=np.float64)
 
         if cycles:
-            if self.impl == "cc":
-                fn = _cc.run_cycles_cc
-            elif self.impl == "numba":
-                fn = _numba_kernel()
-            else:
-                fn = _kernel.run_cycles
-            fn(
+            _cc.run_cycles_cc(
                 par, arena.ravel(), tog, tab.prog0, tab.prog1,
                 tab.idx_pool, tab.mask_pool, stim_w.ravel(),
                 tab.net_rows, tab.alias_src,

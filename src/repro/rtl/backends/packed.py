@@ -1,6 +1,8 @@
-"""Bit-parallel engine: 64 stimulus lanes per uint64 word.
+"""NumPy fallback of the compiled engine: 64 stimulus lanes per uint64 word.
 
-Values live in renumbered storage rows (see
+When no C compiler is available, :class:`~repro.rtl.backends.compiled.
+CompiledBackend` runs this loop instead of the native kernel.  Values
+live in renumbered storage rows (see
 :func:`repro.rtl.levelize.compile_packed`), polarity-folded
 (``true ^ pol[net]``), so NAND/OR/NOR collapse into the AND-run, XNOR
 into the XOR-run, and each MUX into two AND-run product rows plus one
@@ -13,169 +15,149 @@ appended to a block buffer, so the lane unpacking runs once per
 :data:`REC_BLOCK` cycles on one contiguous array, while the accumulator
 reduction (:func:`~repro.rtl.backends.base.acc_reduce`) keeps the
 reference engine's exact per-cycle call shape — making every recorded
-artifact bit-identical across engines.
+artifact bit-identical to the uint8 reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.rtl.backends.base import (
-    WORD_ONES,
-    Backend,
-    acc_reduce,
-    register_backend,
-)
-from repro.rtl.levelize import PackedSchedule, compile_packed
+from repro.rtl.backends.base import WORD_ONES, acc_reduce
+from repro.rtl.levelize import PackedSchedule
 from repro.rtl.trace import pack_lanes, unpack_lanes
 
-__all__ = ["PackedBackend", "REC_BLOCK"]
+__all__ = ["REC_BLOCK", "run_packed"]
 
 #: Cycles buffered before the recording path unpacks a toggle block
 #: (amortizes the net-order gather and bit unpacking).
 REC_BLOCK = 32
 
 
-@register_backend
-class PackedBackend(Backend):
-    """Fused-microprogram uint64 lane engine (the default)."""
-
-    name = "packed"
-    requires_little_endian = True
-
-    def __init__(self, netlist, schedule) -> None:
-        super().__init__(netlist, schedule)
-        self.packed_schedule: PackedSchedule = compile_packed(
-            netlist, schedule
+def run_packed(
+    psch: PackedSchedule,
+    plans: dict,
+    v0: np.ndarray,
+    stim: np.ndarray,
+    cols: np.ndarray | None,
+    acc_weights: dict[str, np.ndarray],
+    packed_out: np.ndarray | None,
+    cols_out: np.ndarray | None,
+    acc_out: dict[str, np.ndarray],
+) -> np.ndarray:
+    """Simulate ``stim`` from the value vector ``v0`` (the
+    :meth:`~repro.rtl.backends.base.Backend.run` contract); ``plans``
+    caches one :class:`_PackedPlan` per word width across calls."""
+    batch, cycles, n_in = stim.shape
+    W = (batch + 63) // 64
+    plan = plans.get(W)
+    if plan is None:
+        plan = plans[W] = _PackedPlan(psch, W)
+    pol_col = psch.pol[:, None]
+    row_of = psch.row_of_net
+    # Stored words in storage-row order; virtual MUX product rows and
+    # alias rows are recomputed before use, so zeros are fine there.
+    stored = np.zeros((psch.n_rows, batch), dtype=np.uint8)
+    stored[row_of] = v0 ^ pol_col
+    init_w = pack_lanes(stored)
+    bufs = plan.bufs
+    np.copyto(bufs[1], init_w)  # v_prev of cycle 0
+    bufs[0][psch.sl_const] = init_w[psch.sl_const]  # written once
+    # Stimulus as lane words, cycle-major: (cycles, n_in, W).
+    stim_w = pack_lanes(
+        np.ascontiguousarray(np.transpose(stim, (1, 2, 0)))
+    )
+    progs = plan.progs
+    in_views = plan.in_views
+    tr = plan.tog_row
+    alias_src = psch.alias_src
+    has_alias = alias_src.size > 0
+    sl_alias = psch.sl_alias
+    sl_clk_free = psch.sl_clk_free
+    sl_clk_g = psch.sl_clk_gated
+    has_clk_free = sl_clk_free.stop > sl_clk_free.start
+    has_clk_g = sl_clk_g.stop > sl_clk_g.start
+    need_dense = packed_out is not None or bool(acc_weights)
+    # The per-cycle gather restores net-id order (all nets when the
+    # dense block is needed, just the selected rows otherwise), so
+    # the flush unpacks one contiguous block per REC_BLOCK cycles.
+    if need_dense:
+        rec_rows = row_of.astype(np.intp)
+    elif cols is not None:
+        rec_rows = row_of[cols].astype(np.intp)
+    else:
+        rec_rows = None
+    tb = None
+    if rec_rows is not None:
+        tb = np.empty(
+            (min(REC_BLOCK, max(cycles, 1)), rec_rows.size, W),
+            dtype=np.uint64,
         )
-        self._plans: dict[int, _PackedPlan] = {}
+    acc_items = list(acc_weights.items())
+    j = 0  # cycles buffered in the toggle block
+    blk0 = 0  # first cycle index of the current block
 
-    def run(
-        self,
-        stim: np.ndarray,
-        cols: np.ndarray | None,
-        acc_weights: dict[str, np.ndarray],
-        packed_out: np.ndarray | None,
-        cols_out: np.ndarray | None,
-        acc_out: dict[str, np.ndarray],
-        init_values: np.ndarray | None,
-    ) -> np.ndarray:
-        psch = self.packed_schedule
-        batch, cycles, n_in = stim.shape
-        W = (batch + 63) // 64
-        plan = self._plans.get(W)
-        if plan is None:
-            plan = self._plans[W] = _PackedPlan(psch, W)
-        if init_values is not None:
-            v0 = np.asarray(init_values, dtype=np.uint8)
-        else:
-            v0 = self.initial_values(batch)
-        pol_col = psch.pol[:, None]
-        row_of = psch.row_of_net
-        # Stored words in storage-row order; virtual MUX product rows and
-        # alias rows are recomputed before use, so zeros are fine there.
-        stored = np.zeros((psch.n_rows, batch), dtype=np.uint8)
-        stored[row_of] = v0 ^ pol_col
-        init_w = pack_lanes(stored)
-        bufs = plan.bufs
-        np.copyto(bufs[1], init_w)  # v_prev of cycle 0
-        bufs[0][psch.sl_const] = init_w[psch.sl_const]  # written once
-        # Stimulus as lane words, cycle-major: (cycles, n_in, W).
-        stim_w = pack_lanes(
-            np.ascontiguousarray(np.transpose(stim, (1, 2, 0)))
-        )
-        progs = plan.progs
-        in_views = plan.in_views
-        tr = plan.tog_row
-        alias_src = psch.alias_src
-        has_alias = alias_src.size > 0
-        sl_alias = psch.sl_alias
-        sl_clk_free = psch.sl_clk_free
-        sl_clk_g = psch.sl_clk_gated
-        has_clk_free = sl_clk_free.stop > sl_clk_free.start
-        has_clk_g = sl_clk_g.stop > sl_clk_g.start
-        need_dense = packed_out is not None or bool(acc_weights)
-        # The per-cycle gather restores net-id order (all nets when the
-        # dense block is needed, just the selected rows otherwise), so
-        # the flush unpacks one contiguous block per REC_BLOCK cycles.
-        if need_dense:
-            rec_rows = row_of.astype(np.intp)
-        elif cols is not None:
-            rec_rows = row_of[cols].astype(np.intp)
-        else:
-            rec_rows = None
-        tb = None
-        if rec_rows is not None:
-            tb = np.empty(
-                (min(REC_BLOCK, max(cycles, 1)), rec_rows.size, W),
-                dtype=np.uint64,
-            )
-        acc_items = list(acc_weights.items())
-        j = 0  # cycles buffered in the toggle block
-        blk0 = 0  # first cycle index of the current block
-
-        for i in range(cycles):
-            p = i & 1
-            vals = bufs[p]
-            if n_in:
-                np.copyto(in_views[p], stim_w[i])
-            for code, a, b, o in progs[p]:
-                if code == 0:
-                    np.bitwise_xor(a, b, o)
-                elif code == 1:
-                    np.bitwise_and(a, b, o)
-                elif code == 2:
-                    a.take(b, 0, o)
-                else:
-                    np.copyto(o, a)
-            if tb is None:
-                continue
-            # Toggles in storage-row order (polarity cancels in the
-            # XOR); alias rows mirror their source, CLK rows report the
-            # enable; then one gather into the net-ordered block.
-            np.bitwise_xor(vals, bufs[1 - p], tr)
-            if has_alias:
-                tr.take(alias_src, 0, tr[sl_alias])
-            if has_clk_free:
-                tr[sl_clk_free] = WORD_ONES
-            if has_clk_g:
-                tr[sl_clk_g] = vals[sl_clk_g]
-            tr.take(rec_rows, 0, tb[j])
-            j += 1
-            if j == tb.shape[0] or i == cycles - 1:
-                # Flush: one contiguous unpack per block, then record
-                # with the reference engine's exact per-cycle GEMV call
-                # shape.
-                dense = unpack_lanes(tb[:j], batch)
-                if need_dense:
-                    if packed_out is not None:
-                        packed_out[blk0:blk0 + j] = np.packbits(
-                            dense, axis=1
-                        )
-                    if cols_out is not None:
-                        cols_out[:, blk0:blk0 + j, :] = dense[
-                            :, cols
-                        ].transpose(2, 0, 1)
-                    for name, w in acc_items:
-                        o = acc_out[name]
-                        for k in range(j):
-                            o[:, blk0 + k] = acc_reduce(w, dense[k])
-                else:
-                    cols_out[:, blk0:blk0 + j, :] = dense.transpose(
-                        2, 0, 1
-                    )
-                blk0 = i + 1
-                j = 0
-
-        fv = bufs[(cycles - 1) & 1] if cycles else bufs[1]
+    for i in range(cycles):
+        p = i & 1
+        vals = bufs[p]
+        if n_in:
+            np.copyto(in_views[p], stim_w[i])
+        for code, a, b, o in progs[p]:
+            if code == 0:
+                np.bitwise_xor(a, b, o)
+            elif code == 1:
+                np.bitwise_and(a, b, o)
+            elif code == 2:
+                a.take(b, 0, o)
+            else:
+                np.copyto(o, a)
+        if tb is None:
+            continue
+        # Toggles in storage-row order (polarity cancels in the
+        # XOR); alias rows mirror their source, CLK rows report the
+        # enable; then one gather into the net-ordered block.
+        np.bitwise_xor(vals, bufs[1 - p], tr)
         if has_alias:
-            np.take(fv, alias_src, axis=0, out=fv[sl_alias])
-        final = unpack_lanes(np.take(fv, row_of, axis=0), batch)
-        return final ^ pol_col
+            tr.take(alias_src, 0, tr[sl_alias])
+        if has_clk_free:
+            tr[sl_clk_free] = WORD_ONES
+        if has_clk_g:
+            tr[sl_clk_g] = vals[sl_clk_g]
+        tr.take(rec_rows, 0, tb[j])
+        j += 1
+        if j == tb.shape[0] or i == cycles - 1:
+            # Flush: one contiguous unpack per block, then record
+            # with the reference engine's exact per-cycle GEMV call
+            # shape.
+            dense = unpack_lanes(tb[:j], batch)
+            if need_dense:
+                if packed_out is not None:
+                    packed_out[blk0:blk0 + j] = np.packbits(
+                        dense, axis=1
+                    )
+                if cols_out is not None:
+                    cols_out[:, blk0:blk0 + j, :] = dense[
+                        :, cols
+                    ].transpose(2, 0, 1)
+                for name, w in acc_items:
+                    o = acc_out[name]
+                    for k in range(j):
+                        o[:, blk0 + k] = acc_reduce(w, dense[k])
+            else:
+                cols_out[:, blk0:blk0 + j, :] = dense.transpose(
+                    2, 0, 1
+                )
+            blk0 = i + 1
+            j = 0
+
+    fv = bufs[(cycles - 1) & 1] if cycles else bufs[1]
+    if has_alias:
+        np.take(fv, alias_src, axis=0, out=fv[sl_alias])
+    final = unpack_lanes(np.take(fv, row_of, axis=0), batch)
+    return final ^ pol_col
 
 
 class _PackedPlan:
-    """Per-word-width execution state for the packed engine.
+    """Per-word-width execution state for :func:`run_packed`.
 
     Holds the double-buffered value arrays plus, for each buffer parity,
     a *micro-program*: a flat tuple of ``(opcode, a, b, out)`` entries

@@ -1,7 +1,7 @@
-"""Flat op tables for the compiled backends.
+"""Flat op tables for the compiled backend's C kernel.
 
-The packed engine's micro-program binds NumPy array views; a compiled
-kernel (C or Numba) wants plain integers instead.  This module lowers a
+The NumPy loop's micro-program binds array views; the C kernel wants
+plain integers instead.  This module lowers a
 :class:`~repro.rtl.levelize.PackedSchedule` into flat ``int64``/
 ``uint64`` arrays that a tiny interpreter loop can execute over a single
 uint64 *arena*:
@@ -28,8 +28,8 @@ code  name       semantics
 Everything is independent of the word width ``W`` (rows are scaled by
 ``W`` at execution time), so the tables are built once per netlist.
 The op sequence mirrors ``_PackedPlan._build`` exactly — same order,
-same operands — which is what keeps the compiled kernels bit-identical
-to the packed engine (and therefore to the uint8 reference).
+same operands — which is what keeps the C kernel bit-identical to the
+NumPy loop (and therefore to the uint8 reference).
 """
 
 from __future__ import annotations

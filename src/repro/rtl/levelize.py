@@ -193,7 +193,7 @@ def levelize(netlist: Netlist) -> LevelSchedule:
 # ---------------------------------------------------------------------- #
 # Bit-parallel (packed uint64) compilation
 # ---------------------------------------------------------------------- #
-# The packed engine stores one uint64 word per net per 64 batch lanes and
+# The compiled engine stores one uint64 word per net per 64 batch lanes and
 # keeps net values in *renumbered* storage rows chosen so that every write
 # target of the simulation loop is a contiguous slice:
 #
@@ -231,7 +231,7 @@ def _inv_column(bits: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PackedLevel:
-    """One fused evaluation step of the packed engine.
+    """One fused evaluation step of the compiled engine.
 
     ``gather`` holds the source *rows* (renumbered, alias-resolved) of
     all operands, run-major (``[A-run | B-run | xor_a | xor_b | copy]``
@@ -268,7 +268,7 @@ class PackedLevel:
 
 @dataclass
 class PackedSchedule:
-    """Renumbered, polarity-folded compilation for the packed engine.
+    """Renumbered, polarity-folded compilation for the compiled engine.
 
     ``row_of_net`` maps net ids to storage rows; the value array has
     ``n_rows >= n_nets`` rows because MUX gates contribute two virtual

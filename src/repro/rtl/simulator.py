@@ -46,21 +46,24 @@ import numpy as np
 from repro.errors import SimulationError, StimulusError
 from repro.obs.trace import NULL_TRACER
 from repro.rtl import backends as _backends
-from repro.rtl.backends.base import acc_reduce as _acc_reduce  # noqa: F401
 from repro.rtl.levelize import LevelSchedule, PackedSchedule, levelize
 from repro.rtl.netlist import Netlist
 from repro.rtl.trace import ToggleTrace
 
-__all__ = ["RecordSpec", "SimResult", "Simulator", "ENGINES"]
+__all__ = [
+    "RecordSpec", "SimResult", "Simulator", "ENGINES", "DEFAULT_ENGINE",
+]
 
-#: Available simulation engines, in registry order.  ``"packed"``
-#: (default) packs 64 batch lanes per uint64 word and evaluates fused
-#: per-level micro-programs; ``"uint8"`` is the one-lane-per-byte
-#: reference implementation; ``"compiled"`` lowers the packed
-#: micro-program to a native kernel (Numba or runtime-compiled C) and
-#: falls back to the packed loop when neither is available.  All
-#: engines produce bit-identical results.
+#: Available simulation engines, in registry order.  ``"compiled"``
+#: packs 64 batch lanes per uint64 word and runs fused per-level
+#: micro-programs in a runtime-compiled C kernel (a NumPy loop when no
+#: C compiler is available); ``"uint8"`` is the one-lane-per-byte
+#: reference implementation.  Both produce bit-identical results.
 ENGINES = _backends.backend_names()
+
+#: The engine every ``engine=`` parameter and ``--engine`` flag
+#: defaults to.
+DEFAULT_ENGINE = "compiled"
 
 
 @dataclass(frozen=True)
@@ -115,12 +118,12 @@ class Simulator:
     netlist:
         The design to simulate.
     engine:
-        One of :data:`ENGINES`; ``"packed"`` is the default.  Every
+        One of :data:`ENGINES`; :data:`DEFAULT_ENGINE` by default.  Every
         engine produces bit-identical :class:`SimResult` contents, so
         the choice only affects throughput.
     """
 
-    def __init__(self, netlist: Netlist, engine: str = "packed") -> None:
+    def __init__(self, netlist: Netlist, engine: str = DEFAULT_ENGINE) -> None:
         cls = _backends.get_backend(engine)
         if cls.requires_little_endian and not np.little_endian:
             cls = _backends.get_backend("uint8")  # pragma: no cover

@@ -287,7 +287,6 @@ class Gateway:
         push_buffer_blocks: int = 4096,
         flight_recorder=None,
         postmortem_dir: str | Path | None = None,
-        coalesce: bool | str = "auto",
         admission: AdmissionConfig | AdmissionController | None = None,
         idle_timeout_ticks: int | None = None,
         tick_deadline_s: float | None = None,
@@ -296,23 +295,10 @@ class Gateway:
     ) -> None:
         if n_shards < 1:
             raise ServeError("gateway needs at least one shard")
-        if coalesce not in (True, False, "auto"):
-            raise ServeError(
-                f"coalesce must be True, False, or 'auto', got {coalesce!r}"
-            )
         self.registry = registry
         self.t = int(t)
         self.config = config or StreamConfig()
         self.pool = pool
-        #: Cross-group GEMV coalescing: groups (possibly on different
-        #: shards) whose models share a weights digest fuse into one
-        #: stacked GEMV, scattered back by row ranges — bit-identical
-        #: because each output row is an independent integer dot
-        #: product.  "auto" enables it exactly when the pool ships
-        #: descriptors (shm transport), where fewer/larger tasks are a
-        #: pure win; the pickle transport keeps its historical
-        #: one-task-per-group shape.
-        self.coalesce = coalesce
         self.metrics = metrics or MetricsRegistry()
         self.tracer = tracer or NULL_TRACER
         self.push_buffer_blocks = int(push_buffer_blocks)
@@ -628,28 +614,24 @@ class Gateway:
             and getattr(self.pool, "transport", "pickle") == "shm"
         )
 
-    @property
-    def _coalesce_on(self) -> bool:
-        if self.coalesce == "auto":
-            return self._shm_transport
-        return bool(self.coalesce)
-
     def _infer(self, flat: list, sp) -> list:
         """Run every gathered group's GEMV; returns per-group results.
 
         ``flat`` is ``(group, version, gather_ctx)`` per drain group in
-        shard order.  Groups sharing a weights digest optionally fuse
-        into one inference unit (:attr:`coalesce`); units go to the
-        worker pool — as ~100-byte shared-memory descriptors on the shm
-        transport, as pickled arrays otherwise — or run inline when the
-        pool cannot help.  Unit results are sliced back to group order
+        shard order.  On the shm transport, groups (possibly on different
+        shards) whose models share a weights digest fuse into one
+        stacked-GEMV inference unit, where fewer, larger tasks are a
+        pure win; the pickle transport keeps one unit per group.  Units
+        go to the worker pool — as ~100-byte shared-memory descriptors on
+        the shm transport, as pickled arrays otherwise — or run inline
+        when the pool cannot help.  Unit results are sliced back to group order
         by row ranges, which is bit-identical to per-group inference
         because every output row is an independent integer dot product.
         """
         if not flat:
             return []
         t_inf = time.perf_counter()
-        if self._coalesce_on:
+        if self._shm_transport:
             by_digest: dict[str, list[int]] = {}
             for i, (group, _v, _c) in enumerate(flat):
                 by_digest.setdefault(

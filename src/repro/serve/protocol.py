@@ -121,20 +121,23 @@ def decode_array(header: dict, payload: bytes) -> np.ndarray:
     """(header fields, payload bytes) -> array, validated."""
     dtype = header.get("dtype")
     shape = header.get("shape")
-    if dtype not in _ALLOWED_DTYPES:
+    if not isinstance(dtype, str) or dtype not in _ALLOWED_DTYPES:
         raise ServeError(f"frame dtype {dtype!r} not allowed")
     if not isinstance(shape, list) or not all(
-        isinstance(d, int) and d >= 0 for d in shape
+        type(d) is int and d >= 0 for d in shape
     ):
         raise ServeError(f"frame shape {shape!r} is not a valid shape")
-    arr = np.frombuffer(payload, dtype=np.dtype(dtype))
-    expect = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    if arr.size != expect:
+    # Python-int product, clamped past any frame size: no int64 overflow.
+    expect = 1
+    for d in shape:
+        expect = min(expect * d, MAX_FRAME_BYTES + 1)
+    itemsize = np.dtype(dtype).itemsize
+    if len(payload) % itemsize or len(payload) // itemsize != expect:
         raise ServeError(
-            f"frame payload holds {arr.size} elements, shape {shape} "
-            f"needs {expect}"
+            f"frame payload of {len(payload)} bytes does not hold "
+            f"shape {shape} of {dtype}"
         )
-    return arr.reshape(shape)
+    return np.frombuffer(payload, dtype=dtype).reshape(shape)
 
 
 class FrameBuffer:

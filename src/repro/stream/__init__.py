@@ -13,10 +13,10 @@ a stream of millions of cycles needs memory for one chunk per session:
   through batched OPM inference by :class:`StreamService`;
 * :mod:`repro.stream.aggregate` — rolling/EMA aggregation, droop
   precursor alerts with hysteresis, power-budget checks feeding the
-  :class:`~repro.flow.dvfs.DvfsGovernor`;
-* :mod:`repro.stream.metrics` — back-compat shim over
-  :mod:`repro.obs.metrics` (counters/gauges/histograms with JSON
-  snapshots now live in the shared observability layer).
+  :class:`~repro.flow.dvfs.DvfsGovernor`.
+
+Counters, gauges and histograms live in the shared
+:mod:`repro.obs.metrics` layer (re-exported here).
 
 The streamed per-cycle and T-window readings are bit-identical to
 :class:`~repro.opm.meter.OpmMeter` on the whole trace (property-tested
@@ -40,6 +40,7 @@ from repro.stream.session import (
     StreamSession,
 )
 from repro.stream.source import ProxyBlock, SimulatorSource, TraceSource
+from repro.rtl.simulator import DEFAULT_ENGINE
 
 __all__ = [
     "ProxyBlock",
@@ -68,7 +69,7 @@ def service_for_programs(
     cycles: int,
     t: int = 8,
     chunk_cycles: int = 256,
-    engine: str = "packed",
+    engine: str = DEFAULT_ENGINE,
     config: StreamConfig | None = None,
     pdn=None,
     droop_enter_ma: float | None = None,

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.errors import StreamError
 from repro.obs.trace import NULL_TRACER
-from repro.rtl.simulator import RecordSpec, Simulator
+from repro.rtl.simulator import DEFAULT_ENGINE, RecordSpec, Simulator
 from repro.rtl.trace import ToggleTrace
 from repro.uarch.pipeline import Pipeline
 
@@ -64,8 +64,8 @@ class SimulatorSource:
         Cycles per emitted block (the final block may be shorter).
     engine:
         Simulator engine; any name in
-        :data:`repro.rtl.simulator.ENGINES` (``"packed"``, ``"uint8"``,
-        ``"compiled"``).
+        :data:`repro.rtl.simulator.ENGINES` (``"compiled"``,
+        ``"uint8"``).
     simulator:
         Optionally share one compiled :class:`Simulator` across many
         sources of the same design (compilation is the expensive part).
@@ -80,7 +80,7 @@ class SimulatorSource:
         proxies: np.ndarray,
         stimulus: np.ndarray,
         chunk_cycles: int = 256,
-        engine: str = "packed",
+        engine: str = DEFAULT_ENGINE,
         simulator: Simulator | None = None,
         tracer=None,
     ) -> None:
@@ -107,7 +107,7 @@ class SimulatorSource:
         program,
         cycles: int,
         chunk_cycles: int = 256,
-        engine: str = "packed",
+        engine: str = DEFAULT_ENGINE,
         simulator: Simulator | None = None,
         tracer=None,
     ) -> "SimulatorSource":

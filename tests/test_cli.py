@@ -93,7 +93,7 @@ def exported_run(tmp_path):
         with tracer.span("flow.uarch"):
             pass
         with tracer.span("flow.rtl") as sp:
-            sp.set(engine="packed")
+            sp.set(engine="compiled")
         with tracer.span("flow.inference"):
             pass
     manifest = RunManifest(
@@ -101,7 +101,7 @@ def exported_run(tmp_path):
         design="n1-like",
         scale="tiny",
         seed=20211018,
-        engine="packed",
+        engine="compiled",
         q=12,
         config={"t": 8},
     )

@@ -2,7 +2,7 @@
 
 Covers the exporter round-trip contract (JSONL and Chrome trace-event
 JSON reproduce the exact span forest), the zero-entry no-op tracer
-property, the ``repro.stream.metrics`` shim, manifest save/load/render,
+property, the shared metrics registry, manifest save/load/render,
 and the GA per-generation span stats' parity with
 :meth:`GaResult.generation_stats` on both simulation engines.
 
@@ -44,6 +44,7 @@ from repro.obs import (
 )
 from repro.obs.hist import STANDARD_QUANTILES
 from repro.obs.trace import load_chrome, load_jsonl
+from repro.rtl import ENGINES
 
 
 def _build_nested_tracer() -> Tracer:
@@ -247,15 +248,6 @@ def _walk(span):
 # Metrics shim (satellite 4) and shared registry
 # --------------------------------------------------------------------- #
 class TestMetricsShim:
-    def test_stream_metrics_reexports_obs_objects(self):
-        import repro.obs.metrics as obs_metrics
-        import repro.stream.metrics as stream_metrics
-
-        for name in ("Counter", "Gauge", "Histogram", "MetricsRegistry"):
-            assert getattr(stream_metrics, name) is getattr(
-                obs_metrics, name
-            )
-
     def test_stream_package_uses_shared_registry_class(self):
         from repro.obs.metrics import MetricsRegistry
         from repro.stream import MetricsRegistry as StreamRegistry
@@ -287,7 +279,7 @@ class TestManifest:
             design="small-shared",
             scale="tiny",
             seed=20211018,
-            engine="packed",
+            engine="compiled",
             q=8,
             config={"ga": {"population": 6}, "bits": 10},
             model_schema_version=2,
@@ -332,7 +324,7 @@ class TestManifest:
         assert loaded.run == "unit"
         assert loaded.design == "small-shared"
         assert loaded.seed == 20211018
-        assert loaded.engine == "packed"
+        assert loaded.engine == "compiled"
         assert loaded.q == 8
         assert loaded.config_hash == m.config_hash
         assert loaded.model_schema_version == 2
@@ -348,7 +340,7 @@ class TestManifest:
         path = m.save(tmp_path / "manifest.json")
         text = RunManifest.load(path).render()
         for needle in (
-            "seed", "20211018", "packed", "config hash",
+            "seed", "20211018", "compiled", "config hash",
             m.config_hash, "ga", "total",
         ):
             assert str(needle) in text
@@ -369,7 +361,7 @@ class TestManifest:
 # --------------------------------------------------------------------- #
 # Pipeline instrumentation parity (satellite 3 + flow timing)
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("engine", ["packed", "uint8"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_ga_generation_spans_match_generation_stats(small_core, engine):
     from repro.genbench import BenchmarkEvolver, GaConfig
 

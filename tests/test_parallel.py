@@ -27,7 +27,7 @@ from repro.parallel import (
     program_fingerprint,
     throttle_fingerprint,
 )
-from repro.rtl import Netlist
+from repro.rtl import ENGINES, Netlist
 from repro.uarch import ThrottleScheme
 
 _PARENT_PID = os.getpid()
@@ -336,7 +336,7 @@ def _ga_signature(result):
     ]
 
 
-@pytest.mark.parametrize("engine", ["uint8", "packed"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_ga_parallel_cached_bit_identical(small_core, engine, tmp_path):
     with BenchmarkEvolver(small_core, _ga_cfg(), engine=engine) as ev:
         baseline = ev.run()

@@ -51,6 +51,7 @@ from repro.resilience import (
     rng_state_meta,
 )
 from repro.resilience.faults import truncate_file
+from repro.rtl import ENGINES
 
 _PARENT_PID = os.getpid()
 
@@ -454,7 +455,7 @@ def _interrupt_plan(site: str, at: int) -> FaultInjector:
 
 
 class TestGaResumeIdentity:
-    @pytest.mark.parametrize("engine", ["uint8", "packed"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_kill_at_every_generation_resumes_bit_identical(
         self, small_core, engine, tmp_path
     ):
@@ -582,7 +583,7 @@ def _dataset_signature(ds):
 
 
 class TestDatasetResumeIdentity:
-    @pytest.mark.parametrize("engine", ["uint8", "packed"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_training_build_resumes_bit_identical(
         self, small_core, small_ga, engine, tmp_path
     ):

@@ -2,10 +2,10 @@
 
 The simulator's engines live behind :class:`repro.rtl.backends.Backend`.
 Everything here is about the seams of that abstraction: engine lookup
-errors, the compiled engine's implementation fallback chain (numba ->
-cc -> numpy), forcing an implementation via ``REPRO_COMPILED_IMPL``,
-the CLI round-trip of ``--engine``, engine-agnostic checkpoint resume,
-the :func:`acc_reduce` batch-width contract, and lane-sharding across a
+errors, the compiled engine's choice between its C kernel and its NumPy
+loop (which runs when no C compiler is available), the CLI round-trip
+of ``--engine``, engine-agnostic checkpoint resume, the
+:func:`acc_reduce` batch-width contract, and lane-sharding across a
 worker pool.
 """
 
@@ -28,18 +28,9 @@ from repro.resilience import (
 from repro.rtl import ENGINES, RecordSpec, Simulator
 from repro.rtl.backends import backend_names, get_backend
 from repro.rtl.backends.base import acc_reduce
-from repro.rtl.backends import compiled as compiled_mod
+from repro.rtl.backends import cc
 
 from helpers import random_netlist
-
-
-def _reset_impl(monkeypatch, value=None):
-    """Clear the compiled-impl memo (and optionally force a selection)."""
-    monkeypatch.setattr(compiled_mod, "_SELECTED", None)
-    if value is None:
-        monkeypatch.delenv("REPRO_COMPILED_IMPL", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_COMPILED_IMPL", value)
 
 
 def _full_record(nl):
@@ -61,7 +52,7 @@ def _full_record(nl):
 class TestRegistry:
     def test_engine_names(self):
         assert tuple(backend_names()) == ENGINES
-        assert set(ENGINES) == {"packed", "uint8", "compiled"}
+        assert ENGINES == ("compiled", "uint8")
 
     def test_unknown_engine_message_lists_engines(self):
         nl = random_netlist(0)
@@ -81,43 +72,24 @@ class TestRegistry:
 # compiled-impl selection / fallback
 # --------------------------------------------------------------------- #
 class TestImplSelection:
-    def test_auto_selection_never_fails(self, monkeypatch):
-        # Whatever this host has (numba, a C compiler, or neither),
-        # auto-selection must settle on a working implementation.
-        _reset_impl(monkeypatch)
-        assert compiled_mod.compiled_impl() in ("numba", "cc", "numpy")
+    def test_auto_selection_never_fails(self):
+        # Whatever this host has (a C compiler or not), the compiled
+        # engine settles on a working implementation.
+        sim = Simulator(random_netlist(0), engine="compiled")
+        expect = "numpy" if cc.load_kernel() is None else "cc"
+        assert sim.backend.impl == expect
 
-    def test_numba_missing_falls_back(self, monkeypatch):
-        # Simulate a host without numba: the chain must degrade to cc
-        # or numpy, never raise.
-        _reset_impl(monkeypatch)
-        monkeypatch.setattr(compiled_mod, "_NUMBA_FN", False)
-        assert compiled_mod.compiled_impl() in ("cc", "numpy")
-
-    def test_invalid_forced_impl_raises(self, monkeypatch):
-        _reset_impl(monkeypatch, "fortran")
-        with pytest.raises(SimulationError, match="REPRO_COMPILED_IMPL"):
-            compiled_mod.compiled_impl()
-
-    def test_forced_numba_without_numba_raises(self, monkeypatch):
-        _reset_impl(monkeypatch, "numba")
-        monkeypatch.setattr(compiled_mod, "_NUMBA_FN", False)
-        with pytest.raises(SimulationError, match="numba"):
-            compiled_mod.compiled_impl()
-
-    @pytest.mark.parametrize("impl", ["python", "numpy"])
-    def test_forced_impl_bit_identical(self, impl, monkeypatch):
-        # "python" interprets the njit kernel un-jitted; "numpy" falls
-        # back to the packed loop.  Both must match the uint8 reference
-        # exactly.
+    def test_no_compiler_falls_back_to_numpy_loop(self, monkeypatch):
+        # Without a C compiler the compiled engine runs its NumPy loop,
+        # which must match the uint8 reference exactly.
         nl = random_netlist(11, n_gates=60)
         rng = np.random.default_rng(3)
         stim = rng.integers(0, 2, size=(5, 40, 4)).astype(np.uint8)
         record = _full_record(nl)
         ref = Simulator(nl, engine="uint8").run(stim, record)
-        _reset_impl(monkeypatch, impl)
+        monkeypatch.setattr(cc, "load_kernel", lambda: None)
         sim = Simulator(nl, engine="compiled")
-        assert sim.backend.impl == impl
+        assert sim.backend.impl == "numpy"
         got = sim.run(stim, record)
         np.testing.assert_array_equal(ref.trace.packed, got.trace.packed)
         np.testing.assert_array_equal(ref.columns, got.columns)
@@ -174,10 +146,9 @@ def _ga_signature(result):
 
 def test_ga_resume_under_different_backend(small_core, tmp_path):
     # All engines are bit-identical, so checkpoint identity excludes
-    # the engine: a run interrupted under "packed" resumes under
-    # "compiled" (or any other engine) and still reproduces the
-    # uninterrupted result exactly.
-    with BenchmarkEvolver(small_core, _ga_cfg(), engine="uint8") as ev:
+    # the engine: a run interrupted under "compiled" resumes under
+    # "uint8" and still reproduces the uninterrupted result exactly.
+    with BenchmarkEvolver(small_core, _ga_cfg(), engine="compiled") as ev:
         baseline = _ga_signature(ev.run())
     store = CheckpointStore(tmp_path / "ck", metrics=MetricsRegistry())
     inj = FaultInjector(
@@ -188,13 +159,13 @@ def test_ga_resume_under_different_backend(small_core, tmp_path):
         metrics=MetricsRegistry(),
     )
     with BenchmarkEvolver(
-        small_core, _ga_cfg(), engine="packed",
+        small_core, _ga_cfg(), engine="compiled",
         checkpoints=store, faults=inj,
     ) as ev:
         with pytest.raises(TransientFault):
             ev.run()
     with BenchmarkEvolver(
-        small_core, _ga_cfg(), engine="compiled", checkpoints=store
+        small_core, _ga_cfg(), engine="uint8", checkpoints=store
     ) as ev:
         resumed = ev.run(resume=True)
         assert ev.n_simulated > 0  # really resumed mid-run

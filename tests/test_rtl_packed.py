@@ -1,10 +1,16 @@
-"""Equivalence tests for the bit-parallel (packed uint64) engine.
+"""Equivalence tests for the bit-parallel (packed uint64) compiled engine.
 
-The packed engine renumbers storage rows, folds inverting gates into
+The compiled engine renumbers storage rows, folds inverting gates into
 polarities, aliases BUF/NOT chains, and records toggles in 64-lane words
 — none of which may be observable: every `SimResult` artifact (packed
 trace, column records, accumulator traces, final values) must be
 *bit-identical* to the uint8 reference engine's.
+
+The engine has two implementations and both are checked: the
+runtime-compiled C kernel (path ``"compiled"``) and the NumPy loop of
+``repro.rtl.backends.packed`` that runs when no C compiler is available
+(path ``"packed"``, selected by patching ``cc.load_kernel`` to return
+``None``).
 """
 
 import numpy as np
@@ -14,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.rtl import (
+    DEFAULT_ENGINE,
     ENGINES,
     Netlist,
     Op,
@@ -22,13 +29,37 @@ from repro.rtl import (
     pack_lanes,
     unpack_lanes,
 )
+from repro.rtl.backends import cc
 
 from helpers import random_netlist, simple_counter_design
 
+#: Fast implementation paths compared against the uint8 reference.
+FAST_PATHS = ("compiled", "packed")
+#: Every path, the reference included.
+PATHS = (*FAST_PATHS, "uint8")
 
-def _run_both(nl, stim, record, engine="packed"):
+
+def _sim(nl, path):
+    """A simulator on ``path``: an engine name, or ``"packed"`` for the
+    compiled engine's no-compiler NumPy loop."""
+    if path == "packed":
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cc, "load_kernel", lambda: None)
+            sim = Simulator(nl, engine="compiled")
+        assert sim.backend.impl == "numpy"
+        return sim
+    if path == "compiled":
+        if cc.load_kernel() is None:
+            pytest.skip("no working C compiler on this host")
+        sim = Simulator(nl, engine="compiled")
+        assert sim.backend.impl == "cc"
+        return sim
+    return Simulator(nl, engine=path)
+
+
+def _run_both(nl, stim, record, path):
     r8 = Simulator(nl, engine="uint8").run(stim, record)
-    rp = Simulator(nl, engine=engine).run(stim, record)
+    rp = _sim(nl, path).run(stim, record)
     return r8, rp
 
 
@@ -40,7 +71,7 @@ def _assert_identical(r8, rp):
         np.testing.assert_array_equal(r8.columns, rp.columns)
     assert r8.accum.keys() == rp.accum.keys()
     for name in r8.accum:
-        # Bitwise float equality, not approximate: the packed engine must
+        # Bitwise float equality, not approximate: the fast path must
         # reproduce the reference GEMV exactly.
         np.testing.assert_array_equal(
             r8.accum[name].view(np.uint8),
@@ -54,16 +85,14 @@ def _assert_identical(r8, rp):
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize(
-    "engine", [e for e in ENGINES if e != "uint8"]
-)
+@pytest.mark.parametrize("path", FAST_PATHS)
 @given(
     seed=st.integers(0, 100_000),
     batch=st.sampled_from([1, 3, 16, 64, 70]),
     cycles=st.integers(1, 40),
 )
 @settings(max_examples=25, deadline=None)
-def test_engines_bit_identical_on_random_netlists(engine, seed, batch, cycles):
+def test_engines_bit_identical_on_random_netlists(path, seed, batch, cycles):
     nl = random_netlist(seed, n_gates=60)
     rng = np.random.default_rng(seed + 1)
     stim = rng.integers(
@@ -76,25 +105,25 @@ def test_engines_bit_identical_on_random_netlists(engine, seed, batch, cycles):
     record = RecordSpec(
         full_trace=True, columns=cols, accumulators={"p": w}
     )
-    _assert_identical(*_run_both(nl, stim, record, engine))
+    _assert_identical(*_run_both(nl, stim, record, path))
 
 
-@pytest.mark.parametrize("engine", [e for e in ENGINES if e != "uint8"])
-def test_engines_identical_columns_only_path(engine):
+@pytest.mark.parametrize("path", FAST_PATHS)
+def test_engines_identical_columns_only_path(path):
     """Column recording without a dense trace takes a separate fast path."""
     nl = random_netlist(11, n_gates=60)
     rng = np.random.default_rng(12)
     stim = rng.integers(0, 2, size=(70, 33, len(nl.input_ids)), dtype=np.uint8)
     cols = np.sort(rng.choice(nl.n_nets, size=7, replace=False))
-    r8, rp = _run_both(nl, stim, RecordSpec(columns=cols), engine)
+    r8, rp = _run_both(nl, stim, RecordSpec(columns=cols), path)
     np.testing.assert_array_equal(r8.columns, rp.columns)
 
 
-@pytest.mark.parametrize("engine", [e for e in ENGINES if e != "uint8"])
-def test_engines_identical_on_clock_fanout(engine):
+@pytest.mark.parametrize("path", FAST_PATHS)
+def test_engines_identical_on_clock_fanout(path):
     """BUF/NOT driven by CLK nets must see the previous-cycle clock.
 
-    This exercises the packed engine's one exception to BUF/NOT alias
+    This exercises the compiled engine's one exception to BUF/NOT alias
     folding: combinational readers of a clock net observe its value from
     the *previous* cycle, so copies of clock nets stay evaluated.
     """
@@ -117,11 +146,11 @@ def test_engines_identical_on_clock_fanout(engine):
     stim = rng.integers(0, 2, size=(8, 21, 2), dtype=np.uint8)
     w = rng.random(nl.n_nets).astype(np.float32)
     record = RecordSpec(full_trace=True, accumulators={"p": w})
-    _assert_identical(*_run_both(nl, stim, record, engine))
+    _assert_identical(*_run_both(nl, stim, record, path))
 
 
-@pytest.mark.parametrize("engine", [e for e in ENGINES if e != "uint8"])
-def test_engines_identical_on_counter_design(engine):
+@pytest.mark.parametrize("path", FAST_PATHS)
+def test_engines_identical_on_counter_design(path):
     for gated in (False, True):
         nl, _ = simple_counter_design(width=5, gated=gated)
         rng = np.random.default_rng(7)
@@ -129,12 +158,12 @@ def test_engines_identical_on_counter_design(engine):
             0, 2, size=(3, 40, len(nl.input_ids)), dtype=np.uint8
         )
         _assert_identical(
-            *_run_both(nl, stim, RecordSpec(full_trace=True), engine)
+            *_run_both(nl, stim, RecordSpec(full_trace=True), path)
         )
 
 
-@pytest.mark.parametrize("engine", [e for e in ENGINES if e != "uint8"])
-def test_engines_identical_on_small_core(small_core, engine):
+@pytest.mark.parametrize("path", FAST_PATHS)
+def test_engines_identical_on_small_core(small_core, path):
     """A real (cut-down) core design agrees across engines."""
     rng = np.random.default_rng(9)
     nl = small_core.netlist
@@ -143,7 +172,7 @@ def test_engines_identical_on_small_core(small_core, engine):
     )
     w = rng.random(nl.n_nets).astype(np.float32)
     record = RecordSpec(full_trace=True, accumulators={"p": w})
-    _assert_identical(*_run_both(nl, stim, record, engine))
+    _assert_identical(*_run_both(nl, stim, record, path))
 
 
 # ---------------------------------------------------------------------- #
@@ -151,8 +180,8 @@ def test_engines_identical_on_small_core(small_core, engine):
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_chunked_run_matches_unchunked(engine):
+@pytest.mark.parametrize("path", PATHS)
+def test_chunked_run_matches_unchunked(path):
     nl = random_netlist(21, n_gates=60)
     rng = np.random.default_rng(22)
     batch, cycles = 5, 48
@@ -161,7 +190,7 @@ def test_chunked_run_matches_unchunked(engine):
     )
     w = rng.random(nl.n_nets).astype(np.float32)
     record = RecordSpec(full_trace=True, accumulators={"p": w})
-    sim = Simulator(nl, engine=engine)
+    sim = _sim(nl, path)
     whole = sim.run(stim, record)
 
     for k in (2, 3):
@@ -189,15 +218,15 @@ def test_chunked_run_matches_unchunked(engine):
         )
 
 
-@pytest.mark.parametrize("engine", [e for e in ENGINES if e != "uint8"])
-def test_chunked_runs_agree_across_engines(engine):
+@pytest.mark.parametrize("path", FAST_PATHS)
+def test_chunked_runs_agree_across_engines(path):
     """Chunk boundary state transfers between engines, either direction."""
     nl = random_netlist(31, n_gates=50)
     rng = np.random.default_rng(32)
     stim = rng.integers(0, 2, size=(4, 30, len(nl.input_ids)), dtype=np.uint8)
     record = RecordSpec(full_trace=True)
     whole = Simulator(nl, engine="uint8").run(stim, record)
-    first = Simulator(nl, engine=engine).run(stim[:, :17], record)
+    first = _sim(nl, path).run(stim[:, :17], record)
     second = Simulator(nl, engine="uint8").run(
         stim[:, 17:], record, init_values=first.final_values
     )
@@ -219,20 +248,18 @@ def test_unknown_engine_rejected():
     # The error names every registered engine so the fix is obvious.
     for name in ENGINES:
         assert name in str(exc.value)
-    assert set(ENGINES) == {"packed", "uint8", "compiled"}
+    assert ENGINES == ("compiled", "uint8")
 
 
 def test_engine_attribute_and_schedule():
     nl, _ = simple_counter_design(width=2)
-    packed = Simulator(nl)  # packed is the default
-    assert packed.engine == "packed"
-    assert packed.packed_schedule is not None
+    assert DEFAULT_ENGINE == "compiled"
+    default = Simulator(nl)
+    assert default.engine == DEFAULT_ENGINE
+    assert default.packed_schedule is not None
     ref = Simulator(nl, engine="uint8")
     assert ref.engine == "uint8"
     assert ref.packed_schedule is None
-    comp = Simulator(nl, engine="compiled")
-    assert comp.engine == "compiled"
-    assert comp.packed_schedule is not None
 
 
 @given(
@@ -259,8 +286,8 @@ def test_pack_lanes_bit_order():
     assert words[0, 1] == np.uint64(2)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_stream_source_extends_chunked_run(engine):
+@pytest.mark.parametrize("path", PATHS)
+def test_stream_source_extends_chunked_run(path):
     """The stream source layer inherits the chunked-run guarantee:
     concatenated SimulatorSource blocks equal the whole-trace proxy
     columns, with per-chunk state handoff hidden from the consumer."""
@@ -271,13 +298,12 @@ def test_stream_source_extends_chunked_run(engine):
     cycles = 53
     stim = rng.integers(0, 2, size=(cycles, len(nl.input_ids)), dtype=np.uint8)
     proxies = np.sort(rng.choice(nl.n_nets, size=7, replace=False))
-    whole = Simulator(nl, engine=engine).run(
-        stim, RecordSpec(columns=proxies)
-    )
+    sim = _sim(nl, path)
+    whole = sim.run(stim, RecordSpec(columns=proxies))
     for chunk in (1, 16, 17, 53, 64):
         blocks = list(
             SimulatorSource(
-                nl, proxies, stim, chunk_cycles=chunk, engine=engine
+                nl, proxies, stim, chunk_cycles=chunk, simulator=sim
             )
         )
         np.testing.assert_array_equal(

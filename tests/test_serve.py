@@ -141,10 +141,17 @@ def test_malformed_frames_raise_serve_error():
         decode_frame(good[:-1])  # truncated payload
     with pytest.raises(ServeError):
         encode_frame({"no_op": 1})
-    with pytest.raises(ServeError):
-        decode_array({"dtype": "float16", "shape": [2]}, b"\x00" * 4)
-    with pytest.raises(ServeError):
-        decode_array({"dtype": "uint8", "shape": [9]}, b"\x00" * 4)
+    for header, payload in (
+        ({"dtype": "float16", "shape": [2]}, b"\x00" * 4),
+        ({"dtype": "uint8", "shape": [9]}, b"\x00" * 4),
+        ({"dtype": ["u1"], "shape": [1]}, b"\x00"),  # unhashable dtype
+        ({"dtype": "uint8", "shape": [True]}, b"\x00"),  # bool dim
+        ({"dtype": "int64", "shape": [1]}, b"\x00" * 3),  # ragged bytes
+        ({"dtype": "uint8", "shape": [2**62, 4]}, b""),  # int64 overflow
+        ({"dtype": "uint8", "shape": [2**70]}, b""),  # beyond int64
+    ):
+        with pytest.raises(ServeError):
+            decode_array(header, payload)
 
 
 # --------------------------------------------------------------------- #

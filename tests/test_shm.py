@@ -23,7 +23,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import ServeError
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import WorkerPool
 from repro.parallel.shm import (
@@ -405,18 +404,39 @@ def test_gateway_shm_slab_overflow_falls_back_to_pickle():
     )
 
 
-def test_coalesce_knob_validation_and_auto():
-    reg = _registry()
-    with pytest.raises(ServeError, match="coalesce"):
-        Gateway(reg, coalesce="sometimes")
-    assert not Gateway(reg, coalesce="auto")._coalesce_on  # no pool
-    assert Gateway(reg, coalesce=True)._coalesce_on
-    pool = WorkerPool(2, transport="shm", slab_bytes=1 << 14)
-    try:
-        assert Gateway(reg, pool=pool, coalesce="auto")._coalesce_on
-        assert not Gateway(reg, pool=pool, coalesce=False)._coalesce_on
-    finally:
-        pool.close()
+def test_coalescing_follows_pool_transport(monkeypatch):
+    # Groups sharing a weights digest fuse into one inference unit
+    # exactly on the shm transport; with no pool or a pickle pool every
+    # group stays its own unit.  A 1-worker pool runs units inline,
+    # where the spy sees them.
+    widest = []
+    inline_units = Gateway._inline_units
+
+    def spy(self, unit_indices, flat):
+        widest.append(max(len(u) for u in unit_indices))
+        return inline_units(self, unit_indices, flat)
+
+    monkeypatch.setattr(Gateway, "_inline_units", spy)
+    stim = np.random.default_rng(3).integers(
+        0, 2, size=(32, 6), dtype=np.uint8
+    )
+    for transport, fused in ((None, False), ("pickle", False),
+                             ("shm", True)):
+        pool = (
+            None if transport is None
+            else WorkerPool(1, transport=transport, slab_bytes=1 << 14)
+        )
+        widest.clear()
+        try:
+            gw = Gateway(_registry(), n_shards=2, t=4, pool=pool)
+            client = InprocClient(gw)
+            for i in range(4):
+                client.push(client.open(f"core{i}"), stim, last=True)
+            gw.drain()
+        finally:
+            if pool is not None:
+                pool.close()
+        assert widest and (max(widest) > 1) == fused, transport
 
 
 def _flat(rows_per_group):
