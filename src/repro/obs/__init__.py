@@ -14,8 +14,8 @@ layer shared by every subsystem:
 * :mod:`repro.obs.hist` — :class:`LogHistogram`, exact log-bucketed
   mergeable latency histograms whose quantiles come from bucket ranks,
   never sampling;
-* :mod:`repro.obs.metrics` — the Counter/Gauge/Histogram registry any
-  layer can publish operational metrics into;
+* :mod:`repro.obs.metrics` — the Counter/Gauge/LogHistogram registry
+  any layer can publish operational metrics into;
 * :mod:`repro.obs.expo` — OpenMetrics text exposition and its parser,
   backing the gateway's ``GET /metrics`` side port and ``apollo-repro
   obs top``;
@@ -43,7 +43,6 @@ from repro.obs.hist import LogHistogram
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     default_registry,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "render_tree",
     "Counter",
     "Gauge",
-    "Histogram",
     "LogHistogram",
     "MetricsRegistry",
     "default_registry",

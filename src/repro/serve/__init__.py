@@ -2,16 +2,16 @@
 
 The offline and streaming layers answer "what does this core draw";
 this package answers it for a *fleet*: many concurrent telemetry
-sessions, multiplexed over a small framed protocol into sharded
-:class:`~repro.stream.session.StreamService` workers, metering with
+sessions, multiplexed over a small framed protocol into shards of
+:class:`~repro.stream.session.StreamSession` s, metering with
 versioned models that can be hot-swapped without touching in-flight
 sessions — the high-volume deployment story of the APOLLO paper
 (millions of shipped cores reporting through one introspection plane).
 
 * :mod:`repro.serve.registry` — versioned model store, atomic
   activation, per-``(version, T)`` meter cache;
-* :mod:`repro.serve.shard` — health-driven shard lifecycle
-  (drain -> respawn) and stable sha256 session routing;
+* :mod:`repro.serve.shard` — shards as health-tracked session lists
+  (drain -> respawn), stable sha256 home slots, and the GEMV pool task;
 * :mod:`repro.serve.protocol` — the length-prefixed JSON+binary frame
   encoding shared by the TCP transport and the in-process client;
 * :mod:`repro.serve.gateway` — the front door: sessions, ticks,
@@ -57,7 +57,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.registry import ModelRegistry
 from repro.serve.report import FleetReport, build_report
-from repro.serve.shard import Shard, ShardRouter, infer_task
+from repro.serve.shard import Shard, shard_slot
 
 __all__ = [
     "AdmissionConfig",
@@ -84,6 +84,5 @@ __all__ = [
     "FleetReport",
     "build_report",
     "Shard",
-    "ShardRouter",
-    "infer_task",
+    "shard_slot",
 ]

@@ -46,9 +46,15 @@ from repro.serve.admission import (
     AdmissionConfig,
     AdmissionController,
 )
-from repro.serve.protocol import decode_array, decode_frame, encode_array, encode_frame
+from repro.serve.protocol import (
+    decode_array,
+    decode_frame,
+    encode_array,
+    encode_frame,
+    read_frame,
+)
 from repro.serve.registry import ModelRegistry
-from repro.serve.shard import Shard, ShardRouter, ShmGemvTask, serve_gemv_task
+from repro.serve.shard import Shard, ShmGemvTask, serve_gemv_task, shard_slot
 from repro.stream.session import (
     SessionHooks,
     StreamConfig,
@@ -98,13 +104,22 @@ class PushSource:
         """Buffer one chunk; returns False if an old chunk was dropped."""
         if self.closed:
             raise ServeError("push on a closed session")
-        arr = np.asarray(toggles, dtype=np.uint8)
+        arr = np.asarray(toggles)
         if arr.ndim != 2 or arr.shape[1] != self.q:
             raise ServeError(
                 f"expected (cycles, {self.q}) toggles, got {arr.shape}"
             )
         if arr.shape[0] == 0:
             raise ServeError("pushed chunk must cover at least one cycle")
+        # Checked before the cast, which would wrap 256 to 0 and
+        # truncate 1.7 to 1.
+        binary = (
+            arr.max() <= 1 if arr.dtype == np.uint8
+            else ((arr == 0) | (arr == 1)).all()
+        )
+        if not binary:
+            raise ServeError("pushed toggles must be binary (0 or 1)")
+        arr = arr.astype(np.uint8, copy=False)
         block = ProxyBlock(
             start_cycle=self.cycles_pushed, toggles=arr, last=last
         )
@@ -272,9 +287,6 @@ class SessionHandle:
 class Gateway:
     """Sharded, hot-swappable multiplexer of telemetry sessions."""
 
-    #: Bucket edges (seconds) for the per-tick latency histogram.
-    TICK_EDGES = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0)
-
     def __init__(
         self,
         registry: ModelRegistry,
@@ -303,9 +315,9 @@ class Gateway:
         self.tracer = tracer or NULL_TRACER
         self.push_buffer_blocks = int(push_buffer_blocks)
         self.shards = [
-            Shard(i, tracer=self.tracer) for i in range(n_shards)
+            Shard(i, self.metrics, tracer=self.tracer)
+            for i in range(n_shards)
         ]
-        self.router = ShardRouter(self.shards)
         self.handles: dict[str, SessionHandle] = {}
         self._seq = 0
         self.ticks = 0
@@ -481,7 +493,7 @@ class Gateway:
                 name, source, meter, config=cfg, hooks=hooks,
                 droop=droop, budget=budget,
             )
-        shard = self.router.shard_for(core_id, version)
+        shard = self._place(core_id, version)
         handle = SessionHandle(
             name=name,
             core_id=core_id,
@@ -499,7 +511,7 @@ class Gateway:
             last_progress_tick=self.ticks,
         )
         handle_ref.append(handle)
-        shard.add_session(sess)
+        shard.sessions.append(sess)
         self.handles[name] = handle
         self.metrics.counter("serve.sessions.opened").inc()
         with self.tracer.span(
@@ -508,6 +520,18 @@ class Gateway:
         ):
             pass
         return handle
+
+    def _place(self, core_id: str, version: str) -> Shard:
+        """The session's home shard (:func:`shard_slot`); failed shards
+        drain to the next in ring order.  All shards failed is a hard
+        error (nothing can accept)."""
+        n = len(self.shards)
+        start = shard_slot(core_id, version, n)
+        for k in range(n):
+            shard = self.shards[(start + k) % n]
+            if shard.accepting:
+                return shard
+        raise ServeError("every shard is failed; fleet cannot accept")
 
     def _resolve(self, handle_or_name) -> SessionHandle:
         if isinstance(handle_or_name, SessionHandle):
@@ -675,9 +699,9 @@ class Gateway:
                 r = flat[i][0].rows
                 results[i] = arr[off:off + r]
                 off += r
-        self.metrics.histogram(
-            "serve.infer_seconds", self.TICK_EDGES
-        ).observe(time.perf_counter() - t_inf)
+        self.metrics.hist("serve.infer_seconds").observe(
+            time.perf_counter() - t_inf
+        )
         return results
 
     @staticmethod
@@ -915,7 +939,11 @@ class Gateway:
     def _tick_body(self, ctx=None) -> bool:
         t0 = time.perf_counter()
         with self.tracer.span("serve.tick", ctx=ctx, tick=self.ticks) as sp:
-            respawned = self.router.respawn_dead()
+            respawned = 0
+            for shard in self.shards:
+                if shard.health.failed:
+                    shard.respawn()
+                    respawned += 1
             if respawned:
                 self.metrics.counter("serve.shard.respawns").inc(respawned)
             self._check_deadlines(sp)
@@ -931,7 +959,7 @@ class Gateway:
                     f"serve.shard.{shard.index}.queue.depth",
                     lo=0.5, hi=2 ** 20, growth=2.0,
                 ).observe(sum(len(s.queue) for s in shard.sessions))
-                shard_work.append((shard, t_s, groups))
+                shard_work.append((shard, groups))
                 for group in groups:
                     flat.append((
                         group,
@@ -947,10 +975,10 @@ class Gateway:
             results = self._infer(flat, sp)
             alive = False
             cursor = 0
-            for shard, t_s, groups in shard_work:
+            for shard, groups in shard_work:
                 res = results[cursor:cursor + len(groups)]
                 cursor += len(groups)
-                if shard.apply(groups, res, t_s):
+                if shard.apply(groups, res):
                     alive = True
             if sp:
                 sp.set(groups=len(flat))
@@ -958,11 +986,7 @@ class Gateway:
             self._force_pickle_ticks -= 1
         self._reap_idle()
         self.ticks += 1
-        latency = time.perf_counter() - t0
-        self.tick_hist.observe(latency)
-        self.metrics.histogram(
-            "serve.tick_seconds", self.TICK_EDGES
-        ).observe(latency)
+        self.tick_hist.observe(time.perf_counter() - t0)
         self._refresh_metrics()
         # Push sessions whose client has not closed stay live even with
         # an empty queue — the fleet is still serving them.
@@ -1115,8 +1139,7 @@ class Gateway:
         )
         m.counter("serve.push.buffer_dropped").value = drops
         # Drop accounting per shard and per model version (recomputed
-        # totals — sessions move between respawned services, handles
-        # are the ground truth).
+        # totals — handles are the ground truth).
         by_shard: dict[int, int] = {s.index: 0 for s in self.shards}
         by_version: dict[str, int] = {}
         for h in self.handles.values():
@@ -1378,19 +1401,6 @@ class GatewayServer:
             except (ConnectionError, OSError):
                 self._writers.pop(name, None)
 
-    async def _read_frame(self, reader):
-        import struct as _struct
-
-        head = await reader.readexactly(4)
-        (hlen,) = _struct.unpack(">I", head)
-        blob = await reader.readexactly(hlen)
-        (plen,) = _struct.unpack(">I", await reader.readexactly(4))
-        payload = await reader.readexactly(plen) if plen else b""
-        header, body, _n = decode_frame(
-            head + blob + _struct.pack(">I", plen) + payload
-        )
-        return header, body
-
     async def _handle(self, reader, writer) -> None:
         import asyncio
 
@@ -1398,8 +1408,15 @@ class GatewayServer:
         try:
             while True:
                 try:
-                    header, payload = await self._read_frame(reader)
+                    header, payload = await read_frame(reader)
                 except (asyncio.IncompleteReadError, ConnectionError):
+                    break
+                except ServeError as exc:
+                    # A malformed or oversize frame leaves the byte
+                    # stream unparseable: say why, then hang up.
+                    writer.write(
+                        encode_frame({"op": "error", "message": str(exc)})
+                    )
                     break
                 try:
                     reply = self._dispatch(header, payload, writer, owned)
@@ -1487,18 +1504,6 @@ class AsyncTelemetryClient:
         reader, writer = await asyncio.open_connection(host, port)
         return cls(reader, writer)
 
-    async def _recv(self):
-        import struct as _struct
-
-        head = await self.reader.readexactly(4)
-        (hlen,) = _struct.unpack(">I", head)
-        blob = await self.reader.readexactly(hlen)
-        (plen,) = _struct.unpack(">I", await self.reader.readexactly(4))
-        payload = await self.reader.readexactly(plen) if plen else b""
-        return decode_frame(
-            head + blob + _struct.pack(">I", plen) + payload
-        )[:2]
-
     async def open(self, core_id: str, version: str | None = None,
                    t: int | None = None, priority: str | None = None,
                    deadline_ticks: int | None = None) -> str:
@@ -1507,7 +1512,7 @@ class AsyncTelemetryClient:
              "priority": priority, "deadline_ticks": deadline_ticks}
         ))
         await self.writer.drain()
-        header, _payload = await self._recv()
+        header, _payload = await read_frame(self.reader)
         if header["op"] == "error":
             raise ServeError(header["message"])
         self._seq[header["session"]] = 0
@@ -1528,7 +1533,7 @@ class AsyncTelemetryClient:
         """Keepalive round-trip; returns the pong header."""
         self.writer.write(encode_frame({"op": "ping", "session": session}))
         await self.writer.drain()
-        header, _payload = await self._recv()
+        header, _payload = await read_frame(self.reader)
         if header.get("op") == "error":
             raise ServeError(header["message"])
         return header
@@ -1548,7 +1553,7 @@ class AsyncTelemetryClient:
         chunks: list[np.ndarray] = []
         expect_seq = 0
         while True:
-            header, payload = await self._recv()
+            header, payload = await read_frame(self.reader)
             op = header.get("op")
             if op == "windows" and header.get("session") == session:
                 seq = header.get("seq")

@@ -48,6 +48,7 @@ __all__ = [
     "decode_array",
     "FrameBuffer",
     "MAX_FRAME_BYTES",
+    "read_frame",
 ]
 
 _U32 = struct.Struct(">I")
@@ -73,30 +74,41 @@ def encode_frame(header: dict, payload: bytes = b"") -> bytes:
     return _U32.pack(len(blob)) + blob + _U32.pack(len(payload)) + payload
 
 
+def _check_size(hlen: int, plen: int = 0) -> None:
+    """Reject a length prefix before any byte of its body is buffered."""
+    if hlen + plen > MAX_FRAME_BYTES:
+        raise ServeError(
+            f"frame of {hlen} header + {plen} payload bytes exceeds "
+            f"MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
+        )
+
+
+def _parse_header(blob) -> dict:
+    try:
+        header = json.loads(blob.decode())
+    except ValueError as exc:
+        raise ServeError(f"frame header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict) or "op" not in header:
+        raise ServeError("frame header must be an object with 'op'")
+    return header
+
+
 def decode_frame(data: bytes) -> tuple[dict, bytes, int]:
     """Decode one frame from ``data``.
 
     Returns ``(header, payload, consumed)``; raises
-    :class:`~repro.errors.ServeError` on a malformed frame and
-    ``IndexError``-free ``(None, b"", 0)`` is *not* used — callers
+    :class:`~repro.errors.ServeError` on a malformed frame.  Callers
     wanting incremental parsing should use :class:`FrameBuffer`.
     """
     if len(data) < 4:
         raise ServeError("truncated frame: missing header length")
     (hlen,) = _U32.unpack_from(data, 0)
-    if hlen > MAX_FRAME_BYTES:
-        raise ServeError(f"frame header length {hlen} exceeds bound")
+    _check_size(hlen)
     if len(data) < 4 + hlen + 4:
         raise ServeError("truncated frame: incomplete header")
-    try:
-        header = json.loads(data[4 : 4 + hlen].decode())
-    except ValueError as exc:
-        raise ServeError(f"frame header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict) or "op" not in header:
-        raise ServeError(f"frame header must be an object with 'op'")
+    header = _parse_header(data[4 : 4 + hlen])
     (plen,) = _U32.unpack_from(data, 4 + hlen)
-    if plen > MAX_FRAME_BYTES:
-        raise ServeError(f"frame payload length {plen} exceeds bound")
+    _check_size(hlen, plen)
     end = 4 + hlen + 4 + plen
     if len(data) < end:
         raise ServeError("truncated frame: incomplete payload")
@@ -140,6 +152,24 @@ def decode_array(header: dict, payload: bytes) -> np.ndarray:
     return np.frombuffer(payload, dtype=dtype).reshape(shape)
 
 
+async def read_frame(reader) -> tuple[dict, bytes]:
+    """Read one frame off an :class:`asyncio.StreamReader`.
+
+    Both length prefixes are checked against :data:`MAX_FRAME_BYTES`
+    before the bytes they announce are read, so a hostile prefix costs
+    nothing.  Raises :class:`~repro.errors.ServeError` on a malformed or
+    oversize frame and :class:`asyncio.IncompleteReadError` at EOF.
+    """
+    (hlen,) = _U32.unpack(await reader.readexactly(4))
+    _check_size(hlen)
+    blob = await reader.readexactly(hlen + 4)
+    (plen,) = _U32.unpack_from(blob, hlen)
+    _check_size(hlen, plen)
+    header = _parse_header(blob[:hlen])
+    payload = await reader.readexactly(plen) if plen else b""
+    return header, payload
+
+
 class FrameBuffer:
     """Incremental frame parser for a byte stream."""
 
@@ -150,17 +180,13 @@ class FrameBuffer:
         """Append bytes; return every complete frame now available."""
         self._buf.extend(data)
         frames = []
-        while True:
-            if len(self._buf) < 4:
-                break
+        while len(self._buf) >= 4:
             (hlen,) = _U32.unpack_from(self._buf, 0)
-            if hlen > MAX_FRAME_BYTES:
-                raise ServeError(
-                    f"frame header length {hlen} exceeds bound"
-                )
+            _check_size(hlen)
             if len(self._buf) < 4 + hlen + 4:
                 break
             (plen,) = _U32.unpack_from(self._buf, 4 + hlen)
+            _check_size(hlen, plen)
             if len(self._buf) < 4 + hlen + 4 + plen:
                 break
             header, payload, consumed = decode_frame(bytes(self._buf))

@@ -1,29 +1,35 @@
-"""Sharded session placement with health-driven drain and respawn.
+"""Fleet shards: fault-isolation slices, each a plain session list.
 
-A :class:`Shard` is one :class:`~repro.stream.session.StreamService`
-plus a :class:`~repro.resilience.retry.HealthState`; the
-:class:`ShardRouter` places sessions on shards by a *stable* hash of
+A :class:`Shard` holds its :class:`~repro.stream.session.StreamSession` s
+directly, next to a :class:`~repro.resilience.retry.HealthState`.  The
+gateway places sessions by :func:`shard_slot`, a *stable* hash of
 ``(core id, model version)`` — sha256, not Python's salted ``hash`` —
 so the same fleet always routes the same way.
+
+Each tick a live shard runs the plain tick-based unit: :meth:`Shard.gather`
+pumps every session and stages its pending blocks, grouped by meter; the
+gateway runs the GEMVs; :meth:`Shard.apply` scatters the results back.
 
 Failure model (deterministic, test-injectable via :meth:`Shard.kill`):
 
 * a **failed** shard is skipped by the tick loop (it stops pumping and
-  draining) and **drains** for routing — new sessions probe the next
+  draining) and **drains** for placement — new sessions probe the next
   shards in ring order;
-* at the start of the next tick the router **respawns** it: a fresh
-  ``StreamService`` is built around the *same* session objects, whose
-  state (queues, open OPM windows, rings) lives outside the service —
-  so nothing is lost beyond what drop-oldest backpressure discards
-  while the shard was down (zero for pull sources, bounded by the push
-  buffer depth for push sessions).  Readings remain bit-identical to an
-  uninterrupted run whenever nothing was dropped.
+* a shard killed between gather and apply requeues every in-flight
+  block, so the replay re-emits bit-identical readings with zero
+  sequence gaps (loss-free failover);
+* at the start of the next tick the gateway **respawns** it, which is a
+  health reset: all session state (queues, open OPM windows, rings)
+  lives in the session objects, so nothing needs rebuilding and nothing
+  is lost beyond what drop-oldest backpressure discards while the shard
+  was down (zero for pull sources, bounded by the push buffer depth for
+  push sessions).
 
-Inference reuse of :mod:`repro.parallel`: the per-shard batched GEMV is
-a pure function of ``(int weights, intercept, stacked toggles)``, so a
-:class:`~repro.parallel.pool.WorkerPool` can run each shard's groups in
-a separate process with bit-identical results; :func:`infer_task` is the
-module-level (picklable) worker.
+Inference reuse of :mod:`repro.parallel`: the batched GEMV is a pure
+function of ``(int weights, intercept, stacked toggles)``, so a
+:class:`~repro.parallel.pool.WorkerPool` can run each group in a
+separate process with bit-identical results; :func:`serve_gemv_task` is
+the module-level (picklable) worker.
 """
 
 from __future__ import annotations
@@ -33,19 +39,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ServeError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 from repro.parallel.shm import ShmRef, WeightRef, attach_view, resident_weights
 from repro.resilience.retry import HealthState
-from repro.stream.session import StreamService, StreamSession
+from repro.stream.session import (
+    DrainGroup,
+    StreamSession,
+    gather_pending,
+    scatter,
+)
 
 __all__ = [
     "Shard",
-    "ShardRouter",
     "ShmGemvTask",
-    "infer_task",
     "serve_gemv_task",
+    "shard_slot",
 ]
 
 
@@ -98,16 +107,6 @@ def _gemv(stacked: np.ndarray, int_weights, int_intercept) -> np.ndarray:
     return out
 
 
-def infer_task(payload) -> np.ndarray:
-    """One shard group's integer GEMV, as a picklable pool task.
-
-    ``payload`` is ``(int_weights, int_intercept, stacked_toggles)`` —
-    the portable (pickle-transport) envelope, arrays and all.
-    """
-    int_weights, int_intercept, stacked = payload
-    return _gemv(stacked, int_weights, int_intercept)
-
-
 @dataclass(frozen=True)
 class ShmGemvTask:
     """Descriptor-only GEMV envelope for the shm transport (~300 B).
@@ -127,9 +126,10 @@ class ShmGemvTask:
 def serve_gemv_task(payload):
     """Pool task for serve-tick inference on either transport.
 
-    Tuples take the pickle path (:func:`infer_task`); a
-    :class:`ShmGemvTask` maps its descriptors to shared-memory views,
-    runs the same GEMV, and writes the result through the ``out`` view.
+    A ``(int_weights, int_intercept, stacked_toggles)`` tuple is the
+    pickle envelope, arrays and all; a :class:`ShmGemvTask` maps its
+    descriptors to shared-memory views, runs the same GEMV, and writes
+    the result through the ``out`` view.
     Returns the result array for tuples, and a ``(rows, weight_hit)``
     receipt for shm tasks (the numbers come back through the arena).
     Runs identically in a worker or in the parent (serial fallback).
@@ -140,92 +140,74 @@ def serve_gemv_task(payload):
         out = attach_view(payload.out)
         out[:] = _gemv(stacked, weights, intercept)
         return len(out), hit
-    return infer_task(payload)
+    int_weights, int_intercept, stacked = payload
+    return _gemv(stacked, int_weights, int_intercept)
+
+
+def shard_slot(core_id: str, version: str, n: int) -> int:
+    """Home shard of ``(core id, version)`` among ``n`` — stable across
+    processes and runs."""
+    digest = hashlib.sha256(f"{core_id}|{version}".encode()).digest()
+    return int.from_bytes(digest[:8], "big") % n
 
 
 class Shard:
-    """One slice of the fleet: a stream service with health."""
+    """One slice of the fleet: a session list with health."""
 
     def __init__(
-        self,
-        index: int,
-        registry: MetricsRegistry | None = None,
-        tracer=None,
+        self, index: int, metrics: MetricsRegistry, tracer=None
     ) -> None:
         self.index = index
-        self.metrics = registry or MetricsRegistry()
+        self.metrics = metrics
         self.tracer = tracer or NULL_TRACER
         self.lane = f"shard-{index}"
         self.tracer.register_lane(self.lane)
+        self.sessions: list[StreamSession] = []
         self.health = HealthState()
         self.respawns = 0
         #: Context of the most recent gather span, so the gateway can
         #: parent pooled GEMV worker spans under this shard's gather.
         self.last_gather_ctx = None
-        self.service = self._fresh_service([])
-
-    def _fresh_service(self, sessions: list[StreamSession]) -> StreamService:
-        return StreamService(
-            None,
-            sessions,
-            registry=self.metrics,
-            tracer=self.tracer,
-            allow_empty=True,
-        )
-
-    # -------------------------------------------------------------- #
-    @property
-    def sessions(self) -> list[StreamSession]:
-        return self.service.sessions
 
     @property
     def accepting(self) -> bool:
-        """Whether the router may place new sessions here."""
+        """Whether the gateway may place new sessions here."""
         return not self.health.failed
-
-    def add_session(self, session: StreamSession) -> None:
-        if not self.accepting:
-            raise ServeError(
-                f"shard {self.index} is draining (failed: "
-                f"{self.health.reason})"
-            )
-        self.service.add_session(session)
 
     def kill(self, reason: str = "injected shard death") -> None:
         """Mark the shard dead; the next tick skips it, then respawns."""
         self.health.fail(reason)
 
     def respawn(self) -> None:
-        """Replace the failed service, reattaching every session.
-
-        Session state lives in the session objects, so the rebuilt
-        service resumes exactly where the dead one stopped.
-        """
-        if not self.health.failed:
-            return
-        self.service = self._fresh_service(list(self.sessions))
+        """Bring a failed shard back; its sessions resume where they
+        stopped.  The same :class:`HealthState` is reset in place, so
+        watchers attached to it stay attached."""
         self.health.reset(f"respawned after: {self.health.reason}")
         self.respawns += 1
 
     # -------------------------------------------------------------- #
     # Tick phases (driven by the gateway): gather returns this shard's
-    # pending inference groups; apply scatters results and closes the
-    # shard's step.  A failed shard gathers nothing.
+    # pending inference groups; apply scatters results back.  A failed
+    # shard gathers nothing.
     # -------------------------------------------------------------- #
-    def gather(self) -> list:
+    def gather(self) -> list[DrainGroup]:
         if self.health.failed:
             return []
         with self.tracer.span(
             "serve.shard.gather", lane=self.lane, shard=self.index
         ) as sp:
             self.last_gather_ctx = sp.ctx if sp else None
-            self.service.pump_all()
-            groups = self.service.gather_pending()
+            for sess in self.sessions:
+                sess.pump()
+            groups = gather_pending(self.sessions)
             if sp:
                 sp.set(groups=len(groups))
         return groups
 
-    def apply(self, groups: list, results: list[np.ndarray], t0: float) -> bool:
+    def apply(
+        self, groups: list[DrainGroup], results: list[np.ndarray]
+    ) -> bool:
+        """Scatter one tick's results; True while any session is live."""
         if self.health.failed:
             # Killed between gather and apply: the inferred results are
             # discarded, but the gathered blocks must not be — requeue
@@ -233,21 +215,24 @@ class Shard:
             # re-infers them.  Inference is a pure function of the
             # blocks, so the replay re-emits bit-identical readings
             # with zero sequence gaps (loss-free failover).
-            requeued = 0
-            for _meter, picks, _mats in groups:
-                for sess, _blocks in picks:
-                    requeued += sess.requeue_inflight()
+            requeued = sum(
+                sess.requeue_inflight()
+                for group in groups
+                for sess, _blocks in group.picks
+            )
             if requeued:
                 self.metrics.counter("serve.shard.requeued_blocks").inc(
                     requeued
                 )
-            return any(not s.done for s in self.sessions)
-        with self.tracer.span(
-            "serve.shard.apply", lane=self.lane, shard=self.index
-        ):
-            for (_meter, picks, _mats), per_cycle in zip(groups, results):
-                self.service.scatter(picks, per_cycle)
-            return self.service.finish_step(t0)
+        else:
+            with self.tracer.span(
+                "serve.shard.apply", lane=self.lane, shard=self.index
+            ):
+                for group, per_cycle in zip(groups, results):
+                    scatter(group.picks, per_cycle)
+                for sess in self.sessions:
+                    sess.notify_done()
+        return any(not s.done for s in self.sessions)
 
     def stats(self) -> dict:
         return {
@@ -257,40 +242,3 @@ class Shard:
             "n_sessions": len(self.sessions),
             "n_live": sum(1 for s in self.sessions if not s.done),
         }
-
-
-class ShardRouter:
-    """Stable (core id, model version) -> shard placement."""
-
-    def __init__(self, shards: list[Shard]) -> None:
-        if not shards:
-            raise ServeError("router needs at least one shard")
-        self.shards = shards
-
-    @staticmethod
-    def slot(core_id: str, version: str, n: int) -> int:
-        """Deterministic hash slot — stable across processes/runs."""
-        digest = hashlib.sha256(
-            f"{core_id}|{version}".encode()
-        ).digest()
-        return int.from_bytes(digest[:8], "big") % n
-
-    def shard_for(self, core_id: str, version: str) -> Shard:
-        """The session's shard; failed shards drain to the next in ring
-        order.  All shards failed is a hard error (nothing can accept)."""
-        n = len(self.shards)
-        start = self.slot(core_id, version, n)
-        for k in range(n):
-            shard = self.shards[(start + k) % n]
-            if shard.accepting:
-                return shard
-        raise ServeError("every shard is failed; fleet cannot accept")
-
-    def respawn_dead(self) -> int:
-        """Respawn every failed shard; returns how many came back."""
-        n = 0
-        for shard in self.shards:
-            if shard.health.failed:
-                shard.respawn()
-                n += 1
-        return n

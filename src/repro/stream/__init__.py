@@ -15,7 +15,7 @@ a stream of millions of cycles needs memory for one chunk per session:
   precursor alerts with hysteresis, power-budget checks feeding the
   :class:`~repro.flow.dvfs.DvfsGovernor`.
 
-Counters, gauges and histograms live in the shared
+Counters, gauges and log histograms live in the shared
 :mod:`repro.obs.metrics` layer (re-exported here).
 
 The streamed per-cycle and T-window readings are bit-identical to
@@ -32,7 +32,7 @@ from repro.stream.aggregate import (
     EmaTracker,
     RingBuffer,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.stream.session import (
     SessionHooks,
     StreamConfig,
@@ -56,7 +56,6 @@ __all__ = [
     "BudgetWatcher",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "service_for_programs",
 ]

@@ -60,16 +60,17 @@ __all__ = [
     "StreamConfig",
     "StreamSession",
     "StreamService",
+    "gather_pending",
+    "scatter",
 ]
 
 
 class DrainGroup(NamedTuple):
-    """One batched-inference group out of :meth:`gather_pending`.
+    """One batched-inference group out of :func:`gather_pending`.
 
-    Unpacks like the historical ``(meter, picks, mats)`` tuple; the
-    extras exist for transports that want the stacked matrix written
-    into caller-owned storage (the shm data plane) without an
-    intermediate ``np.concatenate`` copy.
+    Unpacks as ``(meter, picks, mats)``: the sessions' shared meter,
+    ``(session, blocks)`` picks in session order, and the blocks'
+    toggle matrices to stack into one GEMV.
     """
 
     meter: OpmMeter
@@ -80,21 +81,6 @@ class DrainGroup(NamedTuple):
     def rows(self) -> int:
         """Total stacked rows (cycles) across the group's blocks."""
         return sum(int(m.shape[0]) for m in self.mats)
-
-    def stacked(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The group's toggle blocks as one ``(rows, q)`` matrix.
-
-        With ``out`` (for example an arena slab view) the blocks are
-        copied straight into it — the single memcpy of the zero-copy
-        dispatch path; without it this is ``np.concatenate``.
-        """
-        if out is None:
-            return np.concatenate(self.mats, axis=0)
-        r = 0
-        for m in self.mats:
-            out[r:r + m.shape[0]] = m
-            r += m.shape[0]
-        return out
 
 
 @dataclass
@@ -107,13 +93,11 @@ class SessionHooks:
     inference (per-proxy toggle accounting for power attribution),
     ``on_ingest`` sees the inferred readings (per-cycle mW and any
     completed windows — the data a telemetry client is subscribed to),
-    ``on_drop`` sees each block lost to backpressure, and ``on_done``
-    fires exactly once when the session finishes.
+    and ``on_done`` fires exactly once when the session finishes.
     """
 
     on_drain: Callable | None = None  # (session, blocks)
     on_ingest: Callable | None = None  # (session, per_cycle_mw, windows_mw)
-    on_drop: Callable | None = None  # (session, lost_block)
     on_done: Callable | None = None  # (session,)
 
 
@@ -285,8 +269,6 @@ class StreamSession:
             self.dropped_blocks += 1
             self.dropped_cycles += lost.n_cycles
             self._degrade("queue overflow: dropped oldest block")
-            if self.hooks.on_drop is not None:
-                self.hooks.on_drop(self, lost)
         self.queue.append(block)
 
     def take(self, max_blocks: int) -> list[ProxyBlock]:
@@ -422,31 +404,57 @@ class StreamSession:
         return out
 
 
+def gather_pending(sessions: list[StreamSession]) -> list[DrainGroup]:
+    """Stage every session's pending blocks, grouped by session meter.
+
+    Sessions sharing a meter are concatenated into one batched GEMV.
+    Group order follows session order, so results are deterministic.
+    """
+    groups: dict[int, DrainGroup] = {}
+    for sess in sessions:
+        blocks = sess.take(sess.config.drain_blocks)
+        if not blocks:
+            continue
+        meter = sess.opm_stream.meter
+        _meter, picks, mats = groups.setdefault(
+            id(meter), DrainGroup(meter, [], [])
+        )
+        picks.append((sess, blocks))
+        mats.extend(b.toggles for b in blocks)
+    return list(groups.values())
+
+
+def scatter(
+    picks: list[tuple[StreamSession, list[ProxyBlock]]],
+    per_cycle: np.ndarray,
+) -> None:
+    """Distribute one group's inferred per-cycle integers back."""
+    offset = 0
+    for sess, blocks in picks:
+        n = sum(b.n_cycles for b in blocks)
+        sess.ingest(per_cycle[offset:offset + n], n_blocks=len(blocks))
+        offset += n
+
+
 class StreamService:
     """Drives many sessions through batched OPM inference.
 
     Inference is grouped by each session's *own* meter (the meter inside
-    its :class:`~repro.opm.meter.OpmStream`), so one service can host
-    sessions pinned to different model versions — the serve layer's hot
-    model swap depends on this.  Sessions sharing a meter still share a
-    single integer GEMV per drain, exactly as before; with one meter for
-    every session (the common library case) the behaviour is unchanged.
+    its :class:`~repro.opm.meter.OpmStream`), so sessions pinned to
+    different model versions can share one service.  Sessions sharing a
+    meter share a single integer GEMV per drain; with one meter for
+    every session (the common library case) that is one GEMV per step.
     """
-
-    #: Bucket edges (seconds) for the per-drain inference-latency
-    #: histogram.
-    LATENCY_EDGES = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0)
 
     def __init__(
         self,
         meter: OpmMeter | None,
-        sessions: list[StreamSession] | None = None,
+        sessions: list[StreamSession],
         registry: MetricsRegistry | None = None,
         tracer=None,
-        allow_empty: bool = False,
     ) -> None:
-        sessions = list(sessions or [])
-        if not sessions and not allow_empty:
+        sessions = list(sessions)
+        if not sessions:
             raise StreamError("service needs at least one session")
         names = [s.name for s in sessions]
         if len(set(names)) != len(names):
@@ -457,79 +465,6 @@ class StreamService:
         self.tracer = tracer or NULL_TRACER
         self._elapsed = 0.0
         self.steps = 0
-
-    def add_session(self, session: StreamSession) -> None:
-        """Attach a new session mid-flight (serve gateway arrivals)."""
-        if any(s.name == session.name for s in self.sessions):
-            raise StreamError(f"duplicate session name {session.name!r}")
-        self.sessions.append(session)
-
-    def remove_session(self, session: StreamSession) -> None:
-        """Detach a session (no-op if it is not attached)."""
-        self.sessions = [s for s in self.sessions if s is not session]
-
-    # -------------------------------------------------------------- #
-    # The step is split into phases so a layer above can interleave
-    # them: ``pump_all`` -> ``gather_pending`` -> (inference, possibly
-    # on a worker pool) -> ``scatter`` -> ``finish_step``.  ``step``
-    # composes them inline for the single-process path.
-    # -------------------------------------------------------------- #
-    def pump_all(self) -> None:
-        """Move blocks from every session's source into its queue."""
-        for sess in self.sessions:
-            sess.pump()
-
-    def gather_pending(self) -> list[DrainGroup]:
-        """Dequeue pending blocks, grouped by session meter.
-
-        Each :class:`DrainGroup` unpacks as ``(meter, picks, mats)``:
-        sessions sharing a meter are concatenated into one batched
-        GEMV.  Group order follows session order, so results are
-        deterministic.
-        """
-        groups: dict[int, DrainGroup] = {}
-        for sess in self.sessions:
-            blocks = sess.take(sess.config.drain_blocks)
-            if not blocks:
-                continue
-            meter = sess.opm_stream.meter
-            _meter, picks, mats = groups.setdefault(
-                id(meter), DrainGroup(meter, [], [])
-            )
-            picks.append((sess, blocks))
-            mats.extend(b.toggles for b in blocks)
-        return list(groups.values())
-
-    def scatter(
-        self,
-        picks: list[tuple[StreamSession, list[ProxyBlock]]],
-        per_cycle: np.ndarray,
-    ) -> None:
-        """Distribute one group's inferred per-cycle integers back."""
-        offset = 0
-        for sess, blocks in picks:
-            n = sum(b.n_cycles for b in blocks)
-            sess.ingest(
-                per_cycle[offset:offset + n], n_blocks=len(blocks)
-            )
-            offset += n
-
-    def observe_inference(self, seconds: float) -> None:
-        """Record one drain's inference latency."""
-        self.metrics.histogram(
-            "inference_seconds", self.LATENCY_EDGES
-        ).observe(seconds)
-
-    def finish_step(self, t0: float) -> bool:
-        """Close one step: bookkeeping, metrics, done notifications."""
-        self.steps += 1
-        dt = time.perf_counter() - t0
-        self._elapsed += dt
-        self.metrics.hist("stream.step.latency").observe(dt)
-        self._refresh_metrics()
-        for sess in self.sessions:
-            sess.notify_done()
-        return not all(s.done for s in self.sessions)
 
     def step(self, ctx=None) -> bool:
         """One pump + one batched drain; False when all streams end.
@@ -544,8 +479,9 @@ class StreamService:
             with self.tracer.span("stream.step", ctx=ctx):
                 return self.step()
         t0 = time.perf_counter()
-        self.pump_all()
-        for meter, picks, mats in self.gather_pending():
+        for sess in self.sessions:
+            sess.pump()
+        for meter, picks, mats in gather_pending(self.sessions):
             with self.tracer.span(
                 "stream.drain",
                 n_sessions=len(picks),
@@ -556,9 +492,16 @@ class StreamService:
                 inf_seconds = time.perf_counter() - t_inf
                 if sp:
                     sp.set(n_cycles=int(per_cycle.size))
-            self.observe_inference(inf_seconds)
-            self.scatter(picks, per_cycle)
-        return self.finish_step(t0)
+            self.metrics.hist("inference_seconds").observe(inf_seconds)
+            scatter(picks, per_cycle)
+        self.steps += 1
+        dt = time.perf_counter() - t0
+        self._elapsed += dt
+        self.metrics.hist("stream.step.latency").observe(dt)
+        self._refresh_metrics()
+        for sess in self.sessions:
+            sess.notify_done()
+        return not all(s.done for s in self.sessions)
 
     def run(self, max_steps: int | None = None) -> dict:
         """Step until every session completes; return the snapshot."""

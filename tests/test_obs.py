@@ -260,8 +260,8 @@ class TestMetricsShim:
         reg = MetricsRegistry()
         with pytest.raises(StreamError):
             reg.counter("c").inc(-1)
-        with pytest.raises(StreamError):
-            reg.histogram("bad", (3.0, 1.0))
+        with pytest.raises(ObsError):
+            reg.hist("bad", lo=3.0, hi=1.0)
 
     def test_default_registry_is_singleton(self):
         from repro.obs.metrics import default_registry
@@ -758,8 +758,6 @@ class TestExposition:
         reg = MetricsRegistry()
         reg.counter("serve.ticks").inc(41)
         reg.gauge("serve.shard.0.queue_depth").set(3.5)
-        fixed = reg.histogram("serve.tick.fixed", (0.1, 1.0))
-        fixed.observe_many([0.05, 0.5, 5.0])
         reg.hist("serve.tick.latency").observe_many(
             [0.001, 0.002, 0.004, 0.5]
         )
@@ -772,11 +770,9 @@ class TestExposition:
         samples = parse_openmetrics(text)
         assert samples["serve_ticks_total"] == 41
         assert samples["serve_shard_0_queue_depth"] == 3.5
-        assert samples["serve_tick_fixed_count"] == 3
         assert samples["serve_tick_latency_count"] == 4
         assert samples["serve_tick_latency_sum"] == pytest.approx(0.507)
         # +Inf bucket is cumulative over everything observed
-        assert samples['serve_tick_fixed_bucket{le="+Inf"}'] == 3
         assert samples['serve_tick_latency_bucket{le="+Inf"}'] == 4
 
     def test_quantile_samples_match_the_histogram(self):
@@ -789,14 +785,13 @@ class TestExposition:
 
     def test_cumulative_buckets_are_monotone(self):
         samples = parse_openmetrics(render_openmetrics(self._registry()))
-        for base in ("serve_tick_fixed", "serve_tick_latency"):
-            counts = [
-                v for k, v in samples.items()
-                if k.startswith(f"{base}_bucket")
-            ]
-            assert counts, f"no bucket samples for {base}"
-            assert counts == sorted(counts)
-            assert counts[-1] == samples[f"{base}_count"]
+        base = "serve_tick_latency"
+        counts = [
+            v for k, v in samples.items() if k.startswith(f"{base}_bucket")
+        ]
+        assert counts, f"no bucket samples for {base}"
+        assert counts == sorted(counts)
+        assert counts[-1] == samples[f"{base}_count"]
 
     def test_render_accepts_plain_snapshot_dict(self):
         reg = self._registry()

@@ -23,6 +23,7 @@ from repro.errors import (
     ServeError,
     TransientFault,
 )
+from repro.obs.expo import parse_openmetrics, render_openmetrics
 from repro.obs.metrics import MetricsRegistry
 from repro.opm import OpmMeter, QuantizedModel
 from repro.parallel.pool import WorkerPool
@@ -424,6 +425,10 @@ class TestFailover:
             h.session.stats()["requeued_blocks"] for h in handles
         )
         assert requeued > 0  # the kill landed mid-tick
+        counters = gw.snapshot()["counters"]
+        assert counters["serve.shard.requeued_blocks"] == requeued
+        samples = parse_openmetrics(render_openmetrics(gw.metrics))
+        assert samples["serve_shard_requeued_blocks_total"] == requeued
         meter = reg.meter("v1", _T)
         for handle, chunks in zip(handles, per_session):
             stats = handle.session.stats()

@@ -9,6 +9,7 @@ simulator engine.
 
 import asyncio
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from repro.serve import (
     LoadGenConfig,
     ModelRegistry,
     PushSource,
-    ShardRouter,
     build_report,
     decode_array,
     decode_frame,
@@ -36,9 +36,11 @@ from repro.serve import (
     encode_frame,
     plan,
     run_load,
+    shard_slot,
 )
 from repro.serve.loadgen import SessionPlan  # noqa: F401  (API surface)
-from repro.stream import SimulatorSource
+from repro.serve.protocol import read_frame
+from repro.stream import SimulatorSource, StreamService, StreamSession
 
 from helpers import random_netlist
 
@@ -139,6 +141,11 @@ def test_malformed_frames_raise_serve_error():
     good = encode_frame({"op": "x"}, b"abc")
     with pytest.raises(ServeError):
         decode_frame(good[:-1])  # truncated payload
+    huge_plen = encode_frame({"op": "x"})[:-4] + b"\x7f\xff\xff\xff"
+    with pytest.raises(ServeError):
+        decode_frame(huge_plen + b"x" * 16)  # absurd payload length
+    with pytest.raises(ServeError):
+        FrameBuffer().feed(huge_plen)  # rejected before buffering it
     with pytest.raises(ServeError):
         encode_frame({"no_op": 1})
     for header, payload in (
@@ -230,6 +237,16 @@ def test_push_source_rejects_bad_input():
         src.push(np.zeros((4, 2), dtype=np.uint8))  # wrong q
     with pytest.raises(ServeError):
         src.push(np.zeros((0, 3), dtype=np.uint8))  # empty chunk
+    for bad in (
+        np.full((2, 3), 7, dtype=np.uint8),  # not a toggle bit
+        np.full((2, 3), 256, dtype=np.int64),  # would wrap to 0
+        np.full((2, 3), 0.5, dtype=np.float64),  # would truncate to 0
+    ):
+        with pytest.raises(ServeError, match="binary"):
+            src.push(bad)
+    assert src.blocks_pushed == 0
+    src.push(np.eye(2, 3, dtype=np.int64))  # binary values of any dtype
+    assert next(iter(src)).toggles.dtype == np.uint8
     src.close()
     with pytest.raises(ServeError):
         src.push(_toggles(3, 2))  # closed
@@ -449,22 +466,22 @@ def test_all_shards_failed_cannot_accept():
 def test_router_slot_is_stable_and_drains_past_failed():
     reg = _registry()
     gw = Gateway(reg, n_shards=4)
-    slot = ShardRouter.slot("c7", "v1", 4)
-    assert slot == ShardRouter.slot("c7", "v1", 4)  # process-stable
+    slot = shard_slot("c7", "v1", 4)
+    assert slot == shard_slot("c7", "v1", 4)  # process-stable
     gw.shards[slot].kill("test")
-    shard = gw.router.shard_for("c7", "v1")
-    assert shard.index == (slot + 1) % 4  # ring probe past the corpse
+    handle = gw.open_session("c7", version="v1")
+    assert handle.shard_index == (slot + 1) % 4  # ring probe past the corpse
 
 
 def test_router_drain_wraps_past_end_of_ring():
     """Home + successors dead: the probe wraps modulo the fleet size."""
     gw = Gateway(_registry(), n_shards=4)
-    slot = ShardRouter.slot("c7", "v1", 4)
+    slot = shard_slot("c7", "v1", 4)
     for k in range(3):  # kill the home shard and the next two in ring
         gw.shards[(slot + k) % 4].kill("test")
-    shard = gw.router.shard_for("c7", "v1")
-    assert shard.index == (slot + 3) % 4
-    assert shard.accepting
+    handle = gw.open_session("c7", version="v1")
+    assert handle.shard_index == (slot + 3) % 4
+    assert gw.shards[handle.shard_index].accepting
 
 
 def test_router_all_failed_is_hard_error():
@@ -472,11 +489,13 @@ def test_router_all_failed_is_hard_error():
     for shard in gw.shards:
         shard.kill("test")
     with pytest.raises(ServeError, match="every shard is failed"):
-        gw.router.shard_for("c7", "v1")
-    # respawn brings the fleet back and routing resumes at the home slot
-    assert gw.router.respawn_dead() == 3
-    shard = gw.router.shard_for("c7", "v1")
-    assert shard.index == ShardRouter.slot("c7", "v1", 3)
+        gw.open_session("c7", version="v1")
+    # a tick respawns the fleet and routing resumes at the home slot
+    gw.tick()
+    assert gw.metrics.counter("serve.shard.respawns").value == 3
+    assert [s.respawns for s in gw.shards] == [1, 1, 1]
+    handle = gw.open_session("c7", version="v1")
+    assert handle.shard_index == shard_slot("c7", "v1", 3)
 
 
 # --------------------------------------------------------------------- #
@@ -609,13 +628,11 @@ def test_shard_health_gauges_in_snapshot():
 
 def test_stream_service_session_health_gauges():
     """Per-session health + drop accounting in the service snapshot."""
-    reg = _registry(q=4)
-    gw = Gateway(reg, n_shards=1, t=4)
-    client = InprocClient(gw)
-    name = client.open("c0")
-    client.push(name, _toggles(4, 8), last=True)
-    gw.drain()
-    snap = gw.shards[0].service.metrics.snapshot()
+    meter = _registry(q=4).meter("v1", 4)
+    src = PushSource(q=4)
+    src.push(_toggles(4, 8), last=True)
+    name = "c0"
+    snap = StreamService(meter, [StreamSession(name, src, meter)]).run()
     assert snap["gauges"][f"stream.session.health.{name}"] == 0
     assert snap["gauges"][f"stream.session.dropped_blocks.{name}"] == 0
     assert snap["gauges"]["stream.service.health"] == 0
@@ -692,6 +709,53 @@ def test_tcp_gateway_rejects_unknown_version():
             await server.close()
 
     asyncio.run(scenario())
+
+
+@pytest.mark.parametrize(
+    "hostile",
+    [
+        struct.pack(">I", 6) + b"{nope}" + struct.pack(">I", 0),
+        struct.pack(">I", 0x7FFFFFFF),
+        encode_frame({"op": "data"})[:-4] + struct.pack(">I", 0x7FFFFFFF),
+    ],
+    ids=["bad-json", "huge-header", "huge-payload"],
+)
+def test_tcp_hostile_frame_gets_error_reply(hostile):
+    """A bad frame is answered and its connection closed, promptly and
+    without buffering the announced bytes; other clients carry on."""
+    reg = _registry(q=4, seed=7)
+    gw = Gateway(reg, n_shards=2, t=4)
+    stim = _toggles(4, 24, seed=3)
+
+    async def scenario():
+        server = GatewayServer(gw)
+        await server.start()
+        try:
+            good = await AsyncTelemetryClient.connect(
+                "127.0.0.1", server.port
+            )
+            session = await good.open("good-core")
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(hostile)
+            await writer.drain()
+            header, _ = await asyncio.wait_for(read_frame(reader), 5.0)
+            assert header["op"] == "error"
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+            writer.close()
+            await good.send(session, stim, last=True)
+            windows, stats = await asyncio.wait_for(
+                good.collect(session), 10.0
+            )
+            await good.aclose()
+            return windows, stats
+        finally:
+            await server.close()
+
+    windows, stats = asyncio.run(scenario())
+    np.testing.assert_array_equal(windows, reg.meter("v1", 4).read(stim))
+    assert stats["cycles"] == 24 and stats["done"]
 
 
 # --------------------------------------------------------------------- #

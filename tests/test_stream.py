@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import StreamError
+from repro.errors import ObsError, StreamError
 from repro.opm import OpmMeter, QuantizedModel
 from repro.rtl import ENGINES, RecordSpec, Simulator, ToggleTrace
 from repro.stream import (
@@ -304,17 +304,17 @@ def test_metrics_registry_snapshot_roundtrip():
     reg = MetricsRegistry()
     reg.counter("c").inc(3)
     reg.gauge("g").set(1.5)
-    h = reg.histogram("h", (1.0, 10.0))
-    h.observe_many([0.5, 5.0, 50.0])
+    reg.hist("h").observe_many([0.5, 5.0, 50.0])
     snap = json.loads(json.dumps(reg.snapshot()))
     assert snap["counters"]["c"] == 3
     assert snap["gauges"]["g"] == 1.5
-    assert snap["histograms"]["h"]["counts"] == [1, 1, 1]
-    assert snap["histograms"]["h"]["mean"] == pytest.approx(18.5)
+    assert snap["hists"]["h"]["count"] == 3
+    assert snap["hists"]["h"]["sum"] == pytest.approx(55.5)
+    assert snap["hists"]["h"]["max"] == 50.0
     with pytest.raises(StreamError):
         reg.counter("c").inc(-1)
-    with pytest.raises(StreamError):
-        reg.histogram("bad", (3.0, 1.0))
+    with pytest.raises(ObsError):
+        reg.hist("bad", lo=3.0, hi=1.0)
 
 
 def test_service_rejects_empty_and_duplicate_sessions():
