@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import PowerModelError
 from repro.obs.trace import NULL_TRACER
-from repro.core.mcp import mcp_prox, soft_threshold
+from repro.core.mcp import _check as check_mcp_params
 
 __all__ = [
     "CdResult",
@@ -84,16 +84,29 @@ class CdResult:
         return np.asarray(X, dtype=np.float64) @ self.weights + self.intercept
 
 
+def _soft(z: float, t: float) -> float:
+    """Scalar :func:`~repro.core.mcp.soft_threshold`, bit for bit: signed
+    zeros, NaN propagation and NaN payloads follow NumPy's array path."""
+    m = abs(z) - t
+    if not m > 0.0 and m == m:
+        m = 0.0
+    if z > 0.0:
+        return m
+    return -1.0 * m if z < 0.0 else 0.0 * m
+
+
 def _prox_update(
-    z: np.ndarray, penalty: str, lam: float, gamma: float, alpha: float
-) -> np.ndarray:
+    z: float, penalty: str, lam: float, gamma: float, alpha: float
+) -> float:
+    """One coordinate's proximal step on plain floats, bit-identical to
+    :func:`~repro.core.mcp.mcp_prox` and the array elastic-net formula."""
     if penalty == "mcp":
-        return mcp_prox(z, lam, gamma)
+        if abs(z) <= gamma * lam:
+            return _soft(z, lam) / (1.0 - 1.0 / gamma)
+        return z
     if penalty == "lasso":
-        return soft_threshold(z, lam)
-    if penalty == "elasticnet":
-        return soft_threshold(z, lam * alpha) / (1.0 + lam * (1.0 - alpha))
-    raise PowerModelError(f"unknown penalty {penalty!r}")
+        return _soft(z, lam)
+    return _soft(z, lam * alpha) / (1.0 + lam * (1.0 - alpha))
 
 
 def lambda_max(Xs: np.ndarray, y_centered: np.ndarray) -> float:
@@ -136,6 +149,12 @@ def coordinate_descent(
     (max coordinate delta) history alongside the convergence outcome.
     """
     tracer = tracer or NULL_TRACER
+    if penalty not in ("mcp", "lasso", "elasticnet"):
+        raise PowerModelError(f"unknown penalty {penalty!r}")
+    if penalty == "mcp":
+        check_mcp_params(lam, gamma)
+    elif penalty == "elasticnet" and (lam < 0 or not 0 <= alpha <= 1):
+        raise PowerModelError(f"need lam >= 0, alpha in [0, 1]: {lam}, {alpha}")
     if _precomputed is None:
         _precomputed = precompute(X, y)
     std, G, c, y_mean = _precomputed
@@ -149,6 +168,9 @@ def coordinate_descent(
     if w.shape != (m,):
         raise PowerModelError("warm_start has wrong shape")
     Gw = G @ w if w.any() else np.zeros(m)
+    # The coordinate loop runs on plain floats (NumPy scalars are slower).
+    c_list = c.tolist()
+    prox_args = (penalty, float(lam), float(gamma), float(alpha))
 
     converged = False
     it = 0
@@ -167,14 +189,14 @@ def coordinate_descent(
             converged = False
             # Alternate full sweeps with active-set sweeps.
             full_sweep = active is None or (it % 10 == 1)
-            idx = np.arange(m) if full_sweep else active
+            idx = range(m) if full_sweep else active.tolist()
             max_delta = 0.0
             for j in idx:
-                zj = c[j] - Gw[j] + w[j]
-                wj_new = float(
-                    _prox_update(np.asarray(zj), penalty, lam, gamma, alpha)
+                wj = w.item(j)
+                wj_new = _prox_update(
+                    c_list[j] - Gw.item(j) + wj, *prox_args
                 )
-                delta = wj_new - w[j]
+                delta = wj_new - wj
                 if delta != 0.0:
                     Gw += G[:, j] * delta
                     w[j] = wj_new

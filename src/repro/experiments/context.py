@@ -61,7 +61,7 @@ class ExperimentContext:
         design: str = "n1",
         scale: Scale | str | None = None,
         seed: int = GLOBAL_SEED,
-        cache_dir: Path | None = None,
+        cache_dir: str | Path | None = None,
         workers: int = 1,
         eval_cache=None,
     ) -> None:
@@ -76,7 +76,7 @@ class ExperimentContext:
             )
         )
         self.seed = seed
-        self.cache_dir = cache_dir or artifacts_dir()
+        self.cache_dir = Path(cache_dir or artifacts_dir())
         # Simulation fan-out width and content-addressed evaluation cache
         # (repro.parallel.EvalCache); both deterministic no-ops at the
         # defaults.  Results are bit-identical for any workers/cache

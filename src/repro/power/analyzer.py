@@ -35,6 +35,10 @@ from repro.power.liberty import DEFAULT_TECH, TechParams
 
 __all__ = ["annotate_capacitance", "PowerAnalyzer", "PowerReport"]
 
+#: Per-op cell capacitances in fF (indexed by ``int(op)``).
+_OUT_CAP = np.asarray([CELL_LIBRARY[op].out_cap for op in Op])
+_IN_CAP = np.asarray([CELL_LIBRARY[op].in_cap for op in Op])
+
 
 def annotate_capacitance(
     netlist: Netlist, tech: TechParams = DEFAULT_TECH
@@ -47,16 +51,12 @@ def annotate_capacitance(
     """
     n = netlist.n_nets
     ops = netlist.ops_array()
-    cap = np.zeros(n, dtype=np.float64)
-    for i in range(n):
-        cap[i] = CELL_LIBRARY[Op(ops[i])].out_cap
+    cap = _OUT_CAP[ops]
     cap += tech.wire_cap_base
 
     fanin = netlist.fanin_array() if n else np.zeros((0, 3), np.int32)
     # Sink pin caps: each cell's in_cap loads each of its fanin nets.
-    in_caps = np.array(
-        [CELL_LIBRARY[Op(op)].in_cap for op in ops], dtype=np.float64
-    )
+    in_caps = _IN_CAP[ops]
     for col in range(3):
         src = fanin[:, col]
         valid = src >= 0
@@ -66,9 +66,8 @@ def annotate_capacitance(
 
     # Clock nets: aggregate clock-pin load of the domain's registers.
     domains = netlist.reg_domain_array()
-    for dom in netlist.domains:
-        n_regs = int(np.count_nonzero((domains >= 0) & (domains == dom.index)))
-        cap[dom.clk_net] += tech.clk_pin_cap * n_regs * tech.clk_tree_factor
+    n_regs = np.bincount(domains[domains >= 0], minlength=len(netlist.domains))
+    cap[netlist.clk_ids] += tech.clk_pin_cap * n_regs * tech.clk_tree_factor
     return cap
 
 

@@ -78,8 +78,11 @@ static void exec_prog(const int64_t *prog, int64_t n_ops, u64 *arena,
         }
         case 2: { /* TAKE */
             const int64_t *idx = idx_pool + b;
-            for (int64_t j = 0; j < n; j++)
-                memcpy(out + j * W, arena + idx[j] * W, (size_t)W * 8);
+            if (W == 1) /* one-lane-word rows: a plain gather */
+                for (int64_t j = 0; j < n; j++) out[j] = arena[idx[j]];
+            else
+                for (int64_t j = 0; j < n; j++)
+                    memcpy(out + j * W, arena + idx[j] * W, (size_t)W * 8);
             break;
         }
         case 3: /* COPY */

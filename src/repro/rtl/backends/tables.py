@@ -79,13 +79,13 @@ def _emit(psch: PackedSchedule, parity: int,
     ops: list[tuple[int, int, int, int, int]] = []
 
     def take(dst: int, rows: np.ndarray) -> None:
-        off = len(idx_pool)
-        idx_pool.extend(int(r) for r in rows)
+        off = sum(c.size for c in idx_pool)
+        idx_pool.append(rows)
         ops.append((OP_TAKE, dst, 0, off, rows.size))
 
     def xormask(dst: int, inv_col: np.ndarray) -> None:
-        off = len(mask_pool)
-        mask_pool.extend(int(m) for m in inv_col[:, 0])
+        off = sum(c.size for c in mask_pool)
+        mask_pool.append(inv_col[:, 0])
         ops.append((OP_XORMASK, dst, dst, off, inv_col.shape[0]))
 
     # 1. register capture (previous-cycle D and enables).
@@ -148,8 +148,8 @@ def _emit(psch: PackedSchedule, parity: int,
 
 def build_tables(psch: PackedSchedule) -> CompiledTables:
     """Lower ``psch`` into flat kernel tables (once per netlist)."""
-    idx_pool: list[int] = []
-    mask_pool: list[int] = []
+    idx_pool: list[np.ndarray] = []
+    mask_pool: list[np.ndarray] = []
     prog0 = _emit(psch, 0, idx_pool, mask_pool)
     prog1 = _emit(psch, 1, idx_pool, mask_pool)
     nr = psch.n_rows
@@ -157,8 +157,8 @@ def build_tables(psch: PackedSchedule) -> CompiledTables:
     return CompiledTables(
         prog0=prog0,
         prog1=prog1,
-        idx_pool=np.asarray(idx_pool, dtype=np.int64),
-        mask_pool=np.asarray(mask_pool, dtype=np.uint64),
+        idx_pool=np.concatenate([np.zeros(0, np.int64), *idx_pool]),
+        mask_pool=np.concatenate([np.zeros(0, np.uint64), *mask_pool]),
         arena_rows=2 * nr + psch.max_gather + 2 * n_gated,
         n_rows=nr,
         in_row=psch.sl_inputs.start,

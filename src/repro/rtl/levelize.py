@@ -2,9 +2,9 @@
 
 Because the :class:`~repro.rtl.netlist.Netlist` builder enforces that every
 fanin already exists (topological creation order), combinational logic is
-acyclic by construction and the logic level of each net is a single forward
-pass: ``level = 1 + max(level(fanins))`` with inputs/registers/consts/CLK
-nets at level 0.
+acyclic by construction and the logic level of each net is well defined:
+``level = 1 + max(level(fanins))`` with inputs/registers/consts/CLK nets
+at level 0.
 
 The simulator wants, per level and per op, contiguous index arrays
 ``(out, a, b, c)`` so each group is one vectorized NumPy expression.
@@ -37,6 +37,10 @@ __all__ = [
     "PackedSchedule",
     "compile_packed",
 ]
+
+#: Per-op lookup tables (indexed by ``int(op)``).
+_IS_EVAL = np.asarray([op in EVAL_OPS for op in Op])
+_N_FANIN = np.asarray([N_FANIN[op] for op in Op])
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,10 @@ class LevelSchedule:
 def levelize(netlist: Netlist) -> LevelSchedule:
     """Compile ``netlist`` into a :class:`LevelSchedule`.
 
+    Levels come from relaxing ``1 + max(level(fanins))`` over all comb
+    nets at once until stable (``max_level + 1`` passes); the buckets
+    from one stable sort by ``(level, op)``, so ids ascend in each group.
+
     Raises
     ------
     NetlistError
@@ -109,54 +117,36 @@ def levelize(netlist: Netlist) -> LevelSchedule:
     ops = netlist.ops_array()
     fanin = netlist.fanin_array() if n else np.zeros((0, 3), np.int32)
 
-    levels = np.zeros(n, dtype=np.int32)
-    eval_op_set = {int(o) for o in EVAL_OPS}
-    # Forward pass in id order (ids are topological for comb logic).
-    for i in range(n):
-        op = ops[i]
-        if op not in eval_op_set:
-            continue
-        nf = N_FANIN[Op(op)]
-        lv = 0
-        for k in range(nf):
-            f = fanin[i, k]
-            if f != NO_NET:
-                lv = max(lv, int(levels[f]))
-        levels[i] = lv + 1
+    comb = np.flatnonzero(_IS_EVAL[ops])
+    comb_ops = ops[comb].astype(np.int64)
+    # Unused fanin slots point at a padding entry pinned to level 0.
+    used = np.arange(3) < _N_FANIN[comb_ops][:, None]
+    src = np.where(used, fanin[comb], n).T.copy()
+    lv_pad = np.zeros(n + 1, dtype=np.int32)
+    while True:
+        lv = lv_pad[src].max(axis=0) + 1
+        if np.array_equal(lv, lv_pad[comb]):
+            break
+        lv_pad[comb] = lv
+    levels = lv_pad[:n].copy()
 
-    # Bucket combinational nets by (level, op).
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        if ops[i] in eval_op_set:
-            buckets.setdefault((int(levels[i]), int(ops[i])), []).append(i)
+    # Bucket combinational nets by (level, op), ids ascending per bucket.
+    key = levels[comb].astype(np.int64) * len(Op) + comb_ops
+    order = np.argsort(key, kind="stable")
+    ids = comb[order].astype(np.int32)
+    key = key[order]
+    a = fanin[ids, 0]
+    b = np.where(fanin[ids, 1] == NO_NET, 0, fanin[ids, 1]).astype(np.int32)
+    c = np.where(fanin[ids, 2] == NO_NET, 0, fanin[ids, 2]).astype(np.int32)
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    stops = np.append(starts[1:], key.size)
+    groups = [
+        EvalGroup(op=Op(int(comb_ops[order[s]])), out=ids[s:e],
+                  a=a[s:e], b=b[s:e], c=c[s:e])
+        for s, e in zip(starts.tolist(), stops.tolist())
+    ]
 
-    groups: list[EvalGroup] = []
-    for (lv, op_i) in sorted(buckets):
-        ids = np.asarray(buckets[(lv, op_i)], dtype=np.int32)
-        fa = fanin[ids]
-        a = fa[:, 0].copy()
-        b = np.where(fa[:, 1] == NO_NET, 0, fa[:, 1]).astype(np.int32)
-        c = np.where(fa[:, 2] == NO_NET, 0, fa[:, 2]).astype(np.int32)
-        groups.append(EvalGroup(op=Op(op_i), out=ids, a=a, b=b, c=c))
-
-    # Registers.
-    reg_ids = np.asarray(
-        [i for i in range(n) if ops[i] == Op.REG], dtype=np.int32
-    )
-    reg_d = fanin[reg_ids, 0] if reg_ids.size else np.zeros(0, np.int32)
-    domains = netlist.reg_domain_array()
-    reg_en = np.full(reg_ids.size, NO_NET, dtype=np.int32)
-    for k, rid in enumerate(reg_ids):
-        dom = netlist.domains[int(domains[rid])]
-        if dom.enable is not None:
-            reg_en[k] = dom.enable
-    reg_init = (
-        netlist.reg_init_array()[reg_ids]
-        if reg_ids.size
-        else np.zeros(0, np.uint8)
-    )
-
-    # Clock nets.
+    # Clock nets, and each domain's enable (NO_NET if always-on).
     clk_out = np.asarray(
         [d.clk_net for d in netlist.domains], dtype=np.int32
     )
@@ -165,28 +155,26 @@ def levelize(netlist: Netlist) -> LevelSchedule:
         dtype=np.int32,
     )
 
-    const_ids = np.asarray(
-        [i for i in range(n) if ops[i] in (Op.CONST0, Op.CONST1)],
-        dtype=np.int32,
-    )
-    const_vals = np.asarray(
-        [1 if ops[i] == Op.CONST1 else 0 for i in const_ids], dtype=np.uint8
-    )
+    # Registers: a register's enable is its domain's.
+    reg_ids = np.flatnonzero(ops == Op.REG).astype(np.int32)
+    reg_en = clk_en[netlist.reg_domain_array()[reg_ids]]
 
-    input_ids = np.asarray(netlist.input_ids, dtype=np.int32)
+    const_ids = np.flatnonzero(
+        (ops == Op.CONST0) | (ops == Op.CONST1)
+    ).astype(np.int32)
 
     return LevelSchedule(
         groups=groups,
         levels=levels,
         reg_out=reg_ids,
-        reg_d=reg_d.astype(np.int32),
+        reg_d=fanin[reg_ids, 0],
         reg_en=reg_en,
-        reg_init=reg_init,
+        reg_init=netlist.reg_init_array()[reg_ids],
         clk_out=clk_out,
         clk_en=clk_en,
-        input_ids=input_ids,
+        input_ids=np.flatnonzero(ops == Op.INPUT).astype(np.int32),
         const_ids=const_ids,
-        const_vals=const_vals,
+        const_vals=(ops[const_ids] == Op.CONST1).astype(np.uint8),
         max_level=int(levels.max()) if n else 0,
     )
 
@@ -219,8 +207,13 @@ def levelize(netlist: Netlist) -> LevelSchedule:
 
 _POL_ONE_OPS = frozenset({int(Op.NAND), int(Op.OR), int(Op.XNOR)})
 _COMP_OPERAND_OPS = frozenset({int(Op.OR), int(Op.NOR)})
-_AND_FAMILY = frozenset({int(Op.AND), int(Op.NAND), int(Op.OR), int(Op.NOR)})
-_XOR_FAMILY = frozenset({int(Op.XOR), int(Op.XNOR)})
+#: Kernel segment of each comb op: 0 AND-run, 1 XOR-run, 2 copy-run,
+#: 3 MUX-run (-1 for non-comb ops).
+_SEGMENT = np.full(len(Op), -1)
+_SEGMENT[[Op.AND, Op.NAND, Op.OR, Op.NOR]] = 0
+_SEGMENT[[Op.XOR, Op.XNOR]] = 1
+_SEGMENT[[Op.BUF, Op.NOT]] = 2
+_SEGMENT[Op.MUX] = 3
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
@@ -330,52 +323,26 @@ def compile_packed(
     if sch.clk_out.size:
         is_clk[sch.clk_out] = True
 
-    # --- polarity assignment + alias resolution (ids are topological) ---
-    pol = np.zeros(n, dtype=np.uint8)
-    root = np.arange(n, dtype=np.int32)
+    # --- polarity assignment + alias resolution (by pointer doubling) ---
+    # A BUF/NOT reading a CLK net stays an evaluated copy: comb logic must
+    # see the previous-cycle clock value, which only the copy-run gives.
     buf_i, not_i = int(Op.BUF), int(Op.NOT)
-    is_alias = np.zeros(n, dtype=bool)
-    alias_list: list[int] = []
-    for i in range(n):
-        op = int(ops[i])
-        if op == buf_i or op == not_i:
-            a = int(fanin[i, 0])
-            if is_clk[root[a]]:
-                # Evaluated copy: comb logic must see the previous-cycle
-                # clock value, which only the level-ordered copy-run does.
-                continue
-            root[i] = root[a]
-            pol[i] = pol[a] ^ (1 if op == not_i else 0)
-            is_alias[i] = True
-            alias_list.append(i)
-        elif op in _POL_ONE_OPS:
-            pol[i] = 1
-    alias_ids = np.asarray(alias_list, dtype=np.int32)
+    is_alias = ((ops == buf_i) | (ops == not_i)) & ~is_clk[fanin[:, 0]]
+    alias_ids = np.flatnonzero(is_alias).astype(np.int32)
+    root = np.arange(n, dtype=np.int32)
+    root[alias_ids] = fanin[alias_ids, 0]
+    flip = (is_alias & (ops == not_i)).astype(np.uint8)
+    while not np.array_equal(root[root], root):
+        flip ^= flip[root]
+        root = root[root]
+    pol = flip ^ np.isin(ops, list(_POL_ONE_OPS))[root]
 
-    # --- bucket comb gates by level into AND/XOR/copy/MUX segments ---
-    per_level: dict[int, dict[str, list]] = {}
-
-    def _bucket(lv: int) -> dict[str, list]:
-        return per_level.setdefault(
-            lv, {"and": [], "xor": [], "copy": [], "mux": []}
-        )
-
-    for g in sch.groups:
-        op = int(g.op)
-        lv = int(sch.levels[g.out[0]])
-        if op == buf_i or op == not_i:
-            keep = ~is_alias[g.out]
-            if keep.any():
-                flip = np.uint8(1 if op == not_i else 0)
-                _bucket(lv)["copy"].append((g.out[keep], g.a[keep], flip))
-            continue
-        if op in _AND_FAMILY:
-            comp = np.uint8(1 if op in _COMP_OPERAND_OPS else 0)
-            _bucket(lv)["and"].append((g.out, g.a, g.b, comp))
-        elif op in _XOR_FAMILY:
-            _bucket(lv)["xor"].append((g.out, g.a, g.b))
-        else:  # MUX: fanin order (sel, x, y) meaning sel ? x : y
-            _bucket(lv)["mux"].append((g.out, g.a, g.b, g.c))
+    # --- comb gates except aliases, in (level, segment, op, id) order ---
+    seg = _SEGMENT[ops]
+    comb = np.flatnonzero((seg >= 0) & ~is_alias)
+    key = (sch.levels[comb] * 4 + seg[comb]) * len(Op) + ops[comb]
+    order = np.argsort(key, kind="stable")
+    comb, lv_seg = comb[order], key[order] // len(Op)
 
     # --- sequential bookkeeping (net-id space) ---
     gated_m = sch.reg_en != NO_NET
@@ -404,56 +371,6 @@ def compile_packed(
         cursor[0] = s.stop
         return s
 
-    sl_const = _place(sch.const_ids)
-    sl_inputs = _place(sch.input_ids)
-    sl_free = _place(free_out_ids)
-    sl_gated = _place(gated_out_ids)
-    sl_clk_free = _place(clk_free_ids)
-    sl_clk_gated = _place(clk_g_ids)
-    sl_clk_all = slice(sl_clk_free.start, sl_clk_gated.stop)
-
-    def _cat(tuples: list, idx: int) -> np.ndarray:
-        if not tuples:
-            return np.zeros(0, dtype=np.int32)
-        return np.concatenate([t[idx] for t in tuples]).astype(np.int32)
-
-    def _flags(tuples: list) -> np.ndarray:
-        if not tuples:
-            return np.zeros(0, dtype=np.uint8)
-        return np.concatenate(
-            [np.full(t[0].size, t[-1], dtype=np.uint8) for t in tuples]
-        )
-
-    level_tmp = []
-    for lv in sorted(per_level):
-        seg = per_level[lv]
-        and_out, and_a, and_b = (_cat(seg["and"], k) for k in range(3))
-        and_comp = _flags(seg["and"])
-        xor_out, xor_a, xor_b = (_cat(seg["xor"], k) for k in range(3))
-        copy_out, copy_a = (_cat(seg["copy"], k) for k in range(2))
-        copy_flip = _flags(seg["copy"])
-        mux_out, mux_s, mux_x, mux_y = (
-            _cat(seg["mux"], k) for k in range(4)
-        )
-        n_mux = mux_s.size
-        out_real_and = _place(and_out)
-        sl_u = _skip(n_mux)
-        sl_v = _skip(n_mux)
-        out_and = slice(out_real_and.start, sl_v.stop)
-        out_xor = _place(xor_out)
-        out_copy = _place(copy_out)
-        out_mux = _place(mux_out)
-        level_tmp.append(
-            (and_a, and_b, and_comp, xor_a, xor_b, copy_a, copy_flip,
-             mux_s, mux_x, mux_y, out_and, out_xor, out_copy, out_mux,
-             sl_u, sl_v)
-        )
-    sl_alias = _place(alias_ids)
-    n_rows = cursor[0]
-
-    if int((row_of_net >= 0).sum()) != n:  # pragma: no cover - invariant
-        raise NetlistError("packed layout does not cover every net")
-
     def _rows(ids: np.ndarray) -> np.ndarray:
         """Alias-resolved storage rows for operand net ids.
 
@@ -467,12 +384,37 @@ def compile_packed(
     def _invcol(bits: np.ndarray) -> tuple[np.ndarray, bool]:
         return _inv_column(bits), bool(bits.any())
 
+    sl_const = _place(sch.const_ids)
+    sl_inputs = _place(sch.input_ids)
+    sl_free = _place(free_out_ids)
+    sl_gated = _place(gated_out_ids)
+    sl_clk_free = _place(clk_free_ids)
+    sl_clk_gated = _place(clk_g_ids)
+    sl_clk_all = slice(sl_clk_free.start, sl_clk_gated.stop)
+
+    # Levels in order; operands always sit on earlier levels or sources,
+    # so their rows are placed by the time a level gathers them.
     one = np.uint8(1)
     levels_out: list[PackedLevel] = []
     max_gather = 0
-    for (and_a, and_b, and_comp, xor_a, xor_b, copy_a, copy_flip,
-         mux_s, mux_x, mux_y, out_and, out_xor, out_copy, out_mux,
-         sl_u, sl_v) in level_tmp:
+    for lv in np.unique(lv_seg // 4).tolist():
+        cut = np.searchsorted(lv_seg, 4 * lv + np.arange(5)).tolist()
+        and_ids, xor_ids, copy_ids, mux_ids = (
+            comb[cut[k]:cut[k + 1]] for k in range(4)
+        )
+        and_a, and_b = fanin[and_ids, 0], fanin[and_ids, 1]
+        and_comp = np.isin(ops[and_ids], list(_COMP_OPERAND_OPS))
+        xor_a, xor_b = fanin[xor_ids, 0], fanin[xor_ids, 1]
+        copy_a = fanin[copy_ids, 0]
+        mux_s, mux_x, mux_y = (fanin[mux_ids, k] for k in range(3))
+        n_mux = mux_s.size
+        out_real_and = _place(and_ids)
+        sl_u = _skip(n_mux)
+        sl_v = _skip(n_mux)
+        out_and = slice(out_real_and.start, sl_v.stop)
+        out_xor = _place(xor_ids)
+        out_copy = _place(copy_ids)
+        out_mux = _place(mux_ids)
         # A/B operand runs: real AND-family pairs, then (s, x) for the u
         # products, then (s, y) — with s complemented — for the v ones.
         src = np.concatenate(
@@ -488,10 +430,10 @@ def compile_packed(
             pol[mux_y],
             pol[xor_a],
             pol[xor_b],
-            pol[copy_a] ^ copy_flip,
+            pol[copy_a] ^ (ops[copy_ids] == not_i),
         ])
-        n_and = and_a.size + 2 * mux_s.size
-        n_xor, n_copy, n_mux = xor_a.size, copy_a.size, mux_s.size
+        n_and = and_a.size + 2 * n_mux
+        n_xor, n_copy = xor_a.size, copy_a.size
         o = [0]
 
         def _run(count: int) -> slice:
@@ -523,6 +465,11 @@ def compile_packed(
             )
         )
         max_gather = max(max_gather, src.size)
+    sl_alias = _place(alias_ids)
+    n_rows = cursor[0]
+
+    if int((row_of_net >= 0).sum()) != n:  # pragma: no cover - invariant
+        raise NetlistError("packed layout does not cover every net")
 
     free_d_inv, free_has_inv = _invcol(pol[free_d_ids])
     gated_d_inv, gated_d_has_inv = _invcol(pol[gated_d_ids])

@@ -121,11 +121,11 @@ class Netlist:
 
     @property
     def input_ids(self) -> list[int]:
-        return [i for i, op in enumerate(self._op) if op == Op.INPUT]
+        return np.flatnonzero(self.ops_array() == Op.INPUT).tolist()
 
     @property
     def reg_ids(self) -> list[int]:
-        return [i for i, op in enumerate(self._op) if op == Op.REG]
+        return np.flatnonzero(self.ops_array() == Op.REG).tolist()
 
     @property
     def clk_ids(self) -> list[int]:
@@ -433,17 +433,16 @@ class Netlist:
                 )
             if self._op[dom.clk_net] != Op.CLK:
                 raise NetlistError(f"domain {dom.name!r} clk net corrupted")
-        for i, op in enumerate(self._op):
-            if op == Op.REG:
-                d = self._reg_domain[i]
-                if not (0 <= d < len(self.domains)):
-                    raise NetlistError(
-                        f"reg {i} ({self._names[i]}) has bad domain {d}"
-                    )
-                if self._fanin[i][0] == NO_NET:
-                    raise NetlistError(
-                        f"register {self._names[i]} has no D connection"
-                    )
+        for i in self.reg_ids:
+            d = self._reg_domain[i]
+            if not (0 <= d < len(self.domains)):
+                raise NetlistError(
+                    f"reg {i} ({self._names[i]}) has bad domain {d}"
+                )
+            if self._fanin[i][0] == NO_NET:
+                raise NetlistError(
+                    f"register {self._names[i]} has no D connection"
+                )
 
     def reg_init_array(self) -> np.ndarray:
         return np.asarray(self._reg_init, dtype=np.uint8)

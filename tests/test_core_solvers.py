@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import coordinate_descent, lambda_max, lambda_path, ridge_fit
-from repro.core.solvers import precompute, Standardizer
+from repro.core.mcp import mcp_prox, soft_threshold
+from repro.core.solvers import _prox_update, precompute, Standardizer
 from repro.errors import PowerModelError
+
+INF, NAN = float("inf"), float("nan")
+#: Inputs where NumPy's conventions differ from naive float code: signed
+#: zeros, infinities, NaN of either sign, and the smallest subnormal.
+EDGE_FLOATS = [0.0, -0.0, INF, -INF, NAN, -NAN, 5e-324, -5e-324]
 
 
 def _sparse_problem(n=400, m=60, k=5, noise=0.05, seed=0):
@@ -105,6 +113,47 @@ def test_shape_validation():
             np.random.rand(10, 3), np.random.rand(10), lam=0.1,
             penalty="bogus",
         )
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@given(
+    z=st.floats(allow_nan=False) | st.sampled_from(EDGE_FLOATS),
+    lam=st.floats(0.0, 1e6) | st.sampled_from([0.0, 5e-324, INF]),
+    gamma=st.floats(1.0, 1e6, exclude_min=True) | st.just(INF),
+    alpha=st.floats(0.0, 1.0),
+)
+@settings(max_examples=400, deadline=None)
+@np.errstate(all="ignore")  # inf - inf and friends are part of the domain
+def test_float_prox_bit_identical_to_array_prox(z, lam, gamma, alpha):
+    """The solver's scalar prox equals the vectorized reference API bit
+    for bit, at ``z`` and around the MCP breakpoint ``gamma * lam``."""
+    gl = gamma * lam
+    near = [gl, np.nextafter(gl, -INF), np.nextafter(gl, INF)]
+    for zz in [z, *near, *(-x for x in near)]:
+        zz = float(zz)
+        assert _bits(_prox_update(zz, "mcp", lam, gamma, alpha)) == _bits(
+            mcp_prox(zz, lam, gamma)
+        )
+        assert _bits(_prox_update(zz, "lasso", lam, gamma, alpha)) == _bits(
+            soft_threshold(zz, lam)
+        )
+        enet = soft_threshold(zz, lam * alpha) / (1.0 + lam * (1.0 - alpha))
+        assert _bits(
+            _prox_update(zz, "elasticnet", lam, gamma, alpha)
+        ) == _bits(enet)
+
+
+def test_solver_validates_penalty_parameters():
+    X, y, _w, _s = _sparse_problem(n=50, m=8)
+    with pytest.raises(PowerModelError):
+        coordinate_descent(X, y, lam=-0.1, penalty="mcp")
+    with pytest.raises(PowerModelError):
+        coordinate_descent(X, y, lam=0.1, penalty="mcp", gamma=1.0)
+    with pytest.raises(PowerModelError):
+        coordinate_descent(X, y, lam=0.1, penalty="elasticnet", alpha=1.5)
 
 
 def test_ridge_matches_lstsq_at_tiny_lambda():

@@ -43,6 +43,13 @@ def test_context_dataset_disk_cache(tmp_path):
     np.testing.assert_allclose(train1.labels, train2.labels)
 
 
+def test_context_accepts_str_cache_dir(tmp_path):
+    ctx = ExperimentContext(design="n1", scale="tiny", cache_dir=str(tmp_path))
+    assert ctx.cache_dir == tmp_path
+    assert ctx.train.labels.size
+    assert list(tmp_path.glob("*.npz")), "dataset should be cached on disk"
+
+
 def test_context_screened_shared(ctx):
     X, ids = ctx.screened
     assert X.shape[1] == ids.size

@@ -93,6 +93,22 @@ def _assert_identical(r8, rp):
 )
 @settings(max_examples=25, deadline=None)
 def test_engines_bit_identical_on_random_netlists(path, seed, batch, cycles):
+    _check_random_netlist(path, seed, batch, cycles)
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+@pytest.mark.parametrize("full_trace", [True, False], ids=["trace", "cols"])
+@pytest.mark.parametrize("batch", [1, 65], ids=["W1", "W2"])
+def test_engines_identical_on_one_and_two_word_batches(
+    batch, full_trace, seed
+):
+    """The C kernel gathers one-lane-word rows (batch <= 64) with a plain
+    load and wider rows with a copy; both match the reference with column
+    records and an accumulator, with and without a full trace."""
+    _check_random_netlist("compiled", seed, batch, 24, full_trace)
+
+
+def _check_random_netlist(path, seed, batch, cycles, full_trace=True):
     nl = random_netlist(seed, n_gates=60)
     rng = np.random.default_rng(seed + 1)
     stim = rng.integers(
@@ -103,7 +119,7 @@ def test_engines_bit_identical_on_random_netlists(path, seed, batch, cycles):
     )
     w = rng.random(nl.n_nets).astype(np.float32)
     record = RecordSpec(
-        full_trace=True, columns=cols, accumulators={"p": w}
+        full_trace=full_trace, columns=cols, accumulators={"p": w}
     )
     _assert_identical(*_run_both(nl, stim, record, path))
 
