@@ -56,7 +56,7 @@ class OpmMeter:
             raise OpmError(
                 f"expected (N, {self.qmodel.q}) proxy toggles, got {X.shape}"
             )
-        if X.size and not np.isin(X, (0, 1)).all():
+        if X.size and not ((X == 0) | (X == 1)).all():
             raise OpmError("OPM inputs must be binary toggle bits")
         return (
             X.astype(np.int64) @ self.qmodel.int_weights

@@ -393,24 +393,6 @@ class ShmArena:
         view[...] = arr
         return ref
 
-    def write_concat(self, mats: list) -> ShmRef | None:
-        """Stack row-blocks straight into one contiguous slab region.
-
-        This is ``np.concatenate(mats, out=<slab view>)`` — the serve
-        gather path lands its stacked toggles in shared memory without
-        an intermediate private copy.
-        """
-        rows = sum(int(m.shape[0]) for m in mats)
-        got = self.alloc((rows, int(mats[0].shape[1])), mats[0].dtype)
-        if got is None:
-            return None
-        ref, view = got
-        r = 0
-        for m in mats:
-            view[r:r + m.shape[0]] = m
-            r += m.shape[0]
-        return ref
-
     def view(self, ref: ShmRef) -> np.ndarray:
         """Parent-side view of a descriptor (no re-attach)."""
         for slab in self.slabs:

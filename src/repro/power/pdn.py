@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import PowerModelError
+from repro.power import kernels
 
 __all__ = ["PdnModel", "PdnState", "delta_current", "droop_events"]
 
@@ -86,8 +87,7 @@ class PdnModel:
         ad = expm(a * self.dt)
         # Bd = A^-1 (Ad - I) B (A is invertible: det = 1/(L C) > 0).
         bd = np.linalg.solve(a, (ad - np.eye(2)) @ b)
-        self._ad = ad
-        self._bd = bd
+        self._coef = np.concatenate([ad.ravel(), bd.ravel()])
 
     @property
     def dt(self) -> float:
@@ -117,20 +117,10 @@ class PdnModel:
         if power.ndim != 1:
             raise PowerModelError("power trace must be 1-D")
         i_load = power * 1e-3 / self.vdd  # amps
-        n = i_load.size
-        v = np.empty(n, dtype=np.float64)
-        ad, bd = self._ad, self._bd
-        x0, x1 = state.i_l, state.v_c
-        a00, a01, a10, a11 = ad[0, 0], ad[0, 1], ad[1, 0], ad[1, 1]
-        b00, b01, b10, b11 = bd[0, 0], bd[0, 1], bd[1, 0], bd[1, 1]
-        vreg = self.vdd
-        for k in range(n):
-            u1 = i_load[k]
-            nx0 = a00 * x0 + a01 * x1 + b00 * vreg + b01 * u1
-            nx1 = a10 * x0 + a11 * x1 + b10 * vreg + b11 * u1
-            x0, x1 = nx0, nx1
-            v[k] = x1
-        return v, PdnState(i_l=float(x0), v_c=float(x1))
+        v, x0, x1 = kernels.pdn_run(
+            i_load, self._coef, self.vdd, state.i_l, state.v_c
+        )
+        return v, PdnState(i_l=x0, v_c=x1)
 
     def simulate(self, power_mw: np.ndarray) -> np.ndarray:
         """Supply-voltage waveform (volts) for a per-cycle power trace."""

@@ -1,8 +1,10 @@
-"""Runtime-compiled C kernel of the compiled backend.
+"""Runtime-compiled C kernels: the compiled backend's cycle loop.
 
 One C cycle loop executes the op tables of
 :mod:`repro.rtl.backends.tables`, compiled once per host with the
-system C compiler and loaded via :mod:`ctypes`.  The shared object is
+system C compiler and loaded via :mod:`ctypes`; :func:`load_kernel`
+builds other kernel sources (:mod:`repro.power.kernels`) the same
+way.  The shared object is
 cached under ``~/.cache/repro-apollo`` keyed by a hash of the source,
 so the compile cost (a fraction of a second) is paid once per machine,
 not per process.  Every failure mode — no compiler, compile error,
@@ -208,7 +210,12 @@ void repro_run_cycles(
 }
 """
 
-_FN = None  # memoized ctypes function (or False after a failed attempt)
+#: Loaded libraries by source text (``None``: the build failed once).
+_LIBS: dict[str, object] = {}
+
+_P, _I = ctypes.c_void_p, ctypes.c_int64
+#: Symbol -> ``(restype, argtypes)`` of the cycle kernel.
+_CYCLE_SIGS = {"repro_run_cycles": (None, [_P] * 4 + [_I, _P, _I] + [_P] * 11)}
 
 
 def _cache_dir() -> Path:
@@ -220,7 +227,7 @@ def _cache_dir() -> Path:
     return base / "repro-apollo"
 
 
-def _compile(so_path: Path) -> bool:
+def _compile(source: str, so_path: Path) -> bool:
     compiler = (
         os.environ.get("CC")
         or shutil.which("cc")
@@ -233,7 +240,7 @@ def _compile(so_path: Path) -> bool:
         so_path.parent.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory(dir=so_path.parent) as td:
             src = Path(td) / "kernel.c"
-            src.write_text(_C_SOURCE)
+            src.write_text(source)
             tmp_so = Path(td) / "kernel.so"
             # -ffp-contract=off: no FMA contraction, so the accumulator
             # floats follow IEEE mul-then-add exactly like NumPy.
@@ -258,24 +265,28 @@ def _compile(so_path: Path) -> bool:
         return False
 
 
-def load_kernel():
-    """The compiled ``repro_run_cycles`` entry point, or ``None``."""
-    global _FN
-    if _FN is not None:
-        return _FN or None
-    _FN = False
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
+def load_kernel(source: str = _C_SOURCE, sigs: dict = _CYCLE_SIGS):
+    """The compiled library of ``source`` with its symbols typed by
+    ``sigs`` (name -> ``(restype, argtypes)``), or ``None``; built once
+    per host, loaded once per process."""
+    if source not in _LIBS:
+        _LIBS[source] = _load(source, sigs)
+    return _LIBS[source]
+
+
+def _load(source: str, sigs: dict):
+    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
     so_path = _cache_dir() / f"ckernel-{digest}.so"
-    if not so_path.exists() and not _compile(so_path):
+    if not so_path.exists() and not _compile(source, so_path):
         return None
     try:
         lib = ctypes.CDLL(str(so_path))
-        fn = lib.repro_run_cycles
+        for name, (restype, argtypes) in sigs.items():
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = restype, argtypes
     except (OSError, AttributeError):
         return None
-    fn.restype = None
-    _FN = fn
-    return fn
+    return lib
 
 
 def _ptr(arr: np.ndarray):
@@ -289,9 +300,9 @@ def run_cycles_cc(par, arena, tog, prog0, prog1, idx_pool, mask_pool,
                   col_rows, cols_out, trace_out) -> None:
     """Call the C kernel on NumPy arrays laid out as in the module
     docstring."""
-    fn = load_kernel()
-    assert fn is not None  # the backend checked availability
-    fn(
+    lib = load_kernel()
+    assert lib is not None  # the backend checked availability
+    lib.repro_run_cycles(
         _ptr(par), _ptr(arena), _ptr(tog),
         _ptr(prog0), ctypes.c_int64(prog0.shape[0]),
         _ptr(prog1), ctypes.c_int64(prog1.shape[0]),

@@ -54,7 +54,13 @@ from repro.serve.protocol import (
     read_frame,
 )
 from repro.serve.registry import ModelRegistry
-from repro.serve.shard import Shard, ShmGemvTask, serve_gemv_task, shard_slot
+from repro.serve.shard import (
+    Shard,
+    ShmGemvTask,
+    pack_toggles,
+    serve_gemv_task,
+    shard_slot,
+)
 from repro.stream.session import (
     SessionHooks,
     StreamConfig,
@@ -705,8 +711,8 @@ class Gateway:
         return results
 
     @staticmethod
-    def _unit_mats(indices: list, flat: list) -> list:
-        return [m for i in indices for m in flat[i][0].mats]
+    def _unit_packed(indices: list, flat: list) -> np.ndarray:
+        return pack_toggles([m for i in indices for m in flat[i][0].mats])
 
     @staticmethod
     def _split_units(unit_indices: list, flat: list, target: int) -> list:
@@ -746,30 +752,24 @@ class Gateway:
         out = []
         for indices in unit_indices:
             qm = flat[indices[0]][0].meter.qmodel
-            mats = self._unit_mats(indices, flat)
             t_g = time.perf_counter()
-            stacked = (
-                mats[0] if len(mats) == 1
-                else np.concatenate(mats, axis=0)
-            )
+            packed = self._unit_packed(indices, flat)
             out.append(
-                serve_gemv_task(
-                    (qm.int_weights, qm.int_intercept, stacked)
-                )
+                serve_gemv_task((qm.int_weights, qm.int_intercept, packed))
             )
             self.metrics.hist(
                 f"serve.gemv.latency.{flat[indices[0]][1]}"
             ).observe(time.perf_counter() - t_g)
         return out
 
-    def _stage_shm_task(self, plane, qm, mats, rows):
+    def _stage_shm_task(self, plane, qm, packed):
         """Stage one unit in the arenas; None when a slab is full.
 
-        Weights go to (or are found in) the vault by digest; the
-        stacked toggle matrix is written block-by-block straight into a
-        request slab (the path's single memcpy); the result region is
-        parent-preallocated so the worker writes output in place and a
-        dead worker can never leak a segment it owns.
+        Weights go to (or are found in) the vault by digest; the packed
+        toggle matrix (``rows x ceil(Q/8)`` bytes) is copied into a
+        request slab; the result region is parent-preallocated so the
+        worker writes output in place and a dead worker can never leak
+        a segment it owns.
         """
         if self._force_pickle_ticks > 0:
             # Injected slab overflow (chaos ``slab_overflow`` kind):
@@ -779,17 +779,10 @@ class Gateway:
         wref = plane.vault.ensure(
             qmodel_digest(qm), qm.int_weights, qm.int_intercept
         )
-        got = plane.requests.alloc(
-            (rows, int(mats[0].shape[1])), mats[0].dtype
-        )
-        if got is None:
+        sref = plane.requests.write(packed)
+        if sref is None:
             return None
-        sref, view = got
-        r = 0
-        for m in mats:
-            view[r:r + m.shape[0]] = m
-            r += m.shape[0]
-        out = plane.results.alloc((rows,), np.int64)
+        out = plane.results.alloc((len(packed),), np.int64)
         if out is None:
             return None
         return ShmGemvTask(sref, wref, out[0])
@@ -810,10 +803,9 @@ class Gateway:
         outs = []  # result-arena ref per task (None = pickle envelope)
         for indices in unit_indices:
             qm = flat[indices[0]][0].meter.qmodel
-            mats = self._unit_mats(indices, flat)
-            rows = sum(int(m.shape[0]) for m in mats)
+            packed = self._unit_packed(indices, flat)
             task = (
-                self._stage_shm_task(plane, qm, mats, rows)
+                self._stage_shm_task(plane, qm, packed)
                 if plane is not None else None
             )
             if task is not None:
@@ -821,11 +813,7 @@ class Gateway:
             else:
                 if plane is not None:
                     plane.fallbacks += 1
-                stacked = (
-                    mats[0] if len(mats) == 1
-                    else np.concatenate(mats, axis=0)
-                )
-                task = (qm.int_weights, qm.int_intercept, stacked)
+                task = (qm.int_weights, qm.int_intercept, packed)
                 outs.append(None)
             tasks.append(task)
         ipc_hist = self.metrics.hist(

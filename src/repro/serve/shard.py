@@ -26,10 +26,12 @@ Failure model (deterministic, test-injectable via :meth:`Shard.kill`):
   push sessions).
 
 Inference reuse of :mod:`repro.parallel`: the batched GEMV is a pure
-function of ``(int weights, intercept, stacked toggles)``, so a
+function of ``(int weights, intercept, packed toggles)``, so a
 :class:`~repro.parallel.pool.WorkerPool` can run each group in a
 separate process with bit-identical results; :func:`serve_gemv_task` is
-the module-level (picklable) worker.
+the module-level (picklable) worker.  On every path (pickle envelope,
+shm request slab, inline) toggles travel as :func:`pack_toggles` bits,
+and the GEMV is the byte-LUT kernel :func:`repro.power.kernels.lut_gemv`.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import numpy as np
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 from repro.parallel.shm import ShmRef, WeightRef, attach_view, resident_weights
+from repro.power.kernels import lut_gemv
 from repro.resilience.retry import HealthState
 from repro.stream.session import (
     DrainGroup,
@@ -53,66 +56,25 @@ from repro.stream.session import (
 __all__ = [
     "Shard",
     "ShmGemvTask",
+    "pack_toggles",
     "serve_gemv_task",
     "shard_slot",
 ]
 
 
-#: Rows per GEMV block: 256 rows of a few-thousand-column uint8 stack fit
-#: comfortably in L2 once widened, where a whole-stack ``astype`` would
-#: stream an 8x-size intermediate through RAM.
-_GEMV_BLOCK = 256
-
-
-def _gemv(stacked: np.ndarray, int_weights, int_intercept) -> np.ndarray:
-    """The OPM integer GEMV, cache-blocked, bit-identical to int64 math.
-
-    Widening a ``(rows, q)`` uint8 stack to int64 before the matmul
-    materialises an 8x-size intermediate; blocking the widen+dot over
-    row tiles keeps the wide copy resident in cache.  For uint8 stacks
-    whose worst-case dot product fits in float64's exact-integer range
-    (``q * 255 * max|w| + |intercept| < 2**53`` — every partial sum is
-    then an exactly-representable integer, so BLAS reassociation cannot
-    round), the tile runs as a float64 dgemv; otherwise it runs in
-    int64.  Both paths equal :meth:`OpmMeter.per_cycle`'s arithmetic to
-    the bit, so every dispatch flavor matches inline inference.
-    """
-    if stacked.ndim != 2:
-        stacked = np.atleast_2d(stacked)
-    rows, q = (int(n) for n in stacked.shape)
-    w64 = np.asarray(int_weights).astype(np.int64, copy=False)
-    out = np.empty(rows, dtype=np.int64)
-    if stacked.dtype == np.uint8 and w64.size:
-        bound = q * 255 * int(np.abs(w64).max()) + abs(int(int_intercept))
-        if bound < (1 << 53):
-            wf = w64.astype(np.float64)
-            buf = np.empty((min(_GEMV_BLOCK, rows), q), dtype=np.float64)
-            acc = np.empty(rows, dtype=np.float64)
-            for j in range(0, rows, _GEMV_BLOCK):
-                blk = stacked[j : j + _GEMV_BLOCK]
-                n = len(blk)
-                if n == len(buf):
-                    np.copyto(buf, blk)
-                    np.dot(buf, wf, out=acc[j : j + n])
-                else:
-                    np.dot(blk.astype(np.float64), wf, out=acc[j : j + n])
-            np.add(acc, float(int_intercept), out=acc)
-            return acc.astype(np.int64)
-    for j in range(0, rows, _GEMV_BLOCK):
-        blk = stacked[j : j + _GEMV_BLOCK]
-        np.dot(
-            blk.astype(np.int64, copy=False), w64, out=out[j : j + len(blk)]
-        )
-    out += np.int64(int_intercept)
-    return out
+def pack_toggles(mats: list) -> np.ndarray:
+    """One inference unit's toggle blocks as the GEMV input: stacked
+    along the cycle axis, ``np.packbits`` along the proxy axis (MSB
+    first, ``ceil(Q/8)`` bytes per cycle)."""
+    return np.concatenate([np.packbits(m, axis=1) for m in mats])
 
 
 @dataclass(frozen=True)
 class ShmGemvTask:
     """Descriptor-only GEMV envelope for the shm transport (~300 B).
 
-    ``stacked`` names the request-arena region holding the fused toggle
-    matrix, ``weights`` the digest-addressed resident weights, and
+    ``stacked`` names the request-arena region holding the fused packed
+    toggle matrix, ``weights`` the digest-addressed resident weights, and
     ``out`` a parent-preallocated result-arena region the worker writes
     the per-cycle integers into — so the pipe carries descriptors both
     ways and the arrays never leave shared memory.
@@ -126,10 +88,12 @@ class ShmGemvTask:
 def serve_gemv_task(payload):
     """Pool task for serve-tick inference on either transport.
 
-    A ``(int_weights, int_intercept, stacked_toggles)`` tuple is the
-    pickle envelope, arrays and all; a :class:`ShmGemvTask` maps its
-    descriptors to shared-memory views, runs the same GEMV, and writes
-    the result through the ``out`` view.
+    A ``(int_weights, int_intercept, stacked)`` tuple is the pickle
+    envelope, arrays and all, with ``stacked`` the
+    :func:`pack_toggles` matrix (the unpacked width is
+    ``len(int_weights)``); a :class:`ShmGemvTask` maps its descriptors
+    to shared-memory views, runs the same GEMV, and writes the result
+    through the ``out`` view.
     Returns the result array for tuples, and a ``(rows, weight_hit)``
     receipt for shm tasks (the numbers come back through the arena).
     Runs identically in a worker or in the parent (serial fallback).
@@ -138,10 +102,10 @@ def serve_gemv_task(payload):
         stacked = attach_view(payload.stacked)
         weights, intercept, hit = resident_weights(payload.weights)
         out = attach_view(payload.out)
-        out[:] = _gemv(stacked, weights, intercept)
+        out[:] = lut_gemv(stacked, weights, intercept)
         return len(out), hit
     int_weights, int_intercept, stacked = payload
-    return _gemv(stacked, int_weights, int_intercept)
+    return lut_gemv(stacked, int_weights, int_intercept)
 
 
 def shard_slot(core_id: str, version: str, n: int) -> int:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import StreamError
+from repro.power import kernels
 from repro.power.pdn import PdnModel, PdnState
 
 __all__ = ["RingBuffer", "EmaTracker", "DroopWatcher", "BudgetWatcher"]
@@ -79,13 +80,12 @@ class EmaTracker:
 
     def update(self, values: np.ndarray) -> float | None:
         vals = np.asarray(values, dtype=np.float64).ravel()
-        v = self.value
-        a = self.alpha
-        for x in vals:
-            v = x if v is None else v + a * (x - v)
-        self.value = v
         self.n += int(vals.size)
-        return v
+        if self.value is None and vals.size:
+            self.value, vals = vals[0], vals[1:]
+        if self.value is not None:
+            self.value = kernels.ema(vals, self.value, self.alpha)
+        return self.value
 
 
 class DroopWatcher:
@@ -150,16 +150,9 @@ class DroopWatcher:
         v, self._pdn_state = self.pdn.step_chunk(power, self._pdn_state)
         self.min_voltage = min(self.min_voltage, float(v.min()))
 
-        new_alerts = 0
-        for x in di:
-            if self._active:
-                self.alert_cycles += 1
-                if x < self.exit_ma:
-                    self._active = False
-            elif x > self.enter_ma:
-                self._active = True
-                self.alert_cycles += 1
-                new_alerts += 1
+        self._active, self.alert_cycles, new_alerts = kernels.hysteresis(
+            di, self.enter_ma, self.exit_ma, self._active, self.alert_cycles
+        )
         self.alerts += new_alerts
         return new_alerts
 

@@ -211,7 +211,13 @@ class StreamSession:
 
     # -------------------------------------------------------------- #
     def _pull(self) -> ProxyBlock:
-        return next(self._it)
+        # Each block is checked once, here: inference reads packed bits,
+        # where a stray 2 would silently read as 1.
+        block = next(self._it)
+        tog = block.toggles
+        if tog.dtype != np.uint8 or tog.max(initial=0) > 1:
+            raise StreamError(f"non-binary toggles at {block.start_cycle}")
+        return block
 
     def pump(self, max_blocks: int | None = None) -> int:
         """Pull up to ``max_blocks`` blocks from the source.

@@ -107,6 +107,36 @@ def test_meter_requires_pow2_t_and_binary_inputs():
         meter.accumulate(np.zeros((1, qm.q), dtype=np.uint8))
 
 
+@pytest.mark.parametrize(
+    "row, binary",
+    [
+        (np.array([0, 1, 1], dtype=np.uint8), True),
+        (np.array([0, 2, 1], dtype=np.uint8), False),
+        (np.array([False, True, True]), True),
+        (np.array([0, 1, 0], dtype=np.int64), True),
+        (np.array([0, -1, 1], dtype=np.int64), False),
+        (np.array([2, 1, 0], dtype=np.int64), False),
+        (np.array([-0.0, 1.0, 0.0]), True),
+        (np.array([0.0, 0.5, 1.0]), False),
+        (np.array([np.nan, 1.0, 0.0]), False),
+    ],
+)
+def test_meter_binary_check_by_dtype(row, binary):
+    # The check accepts exactly what np.isin(X, (0, 1)) accepts.
+    qm = quantize_model(_model(q=3), bits=8)
+    X = np.tile(row, (4, 1))
+    assert bool(np.isin(X, (0, 1)).all()) == binary
+    meter = OpmMeter(qm, t=2)
+    if binary:
+        np.testing.assert_array_equal(
+            meter.per_cycle(X),
+            X.astype(np.int64) @ qm.int_weights + qm.int_intercept,
+        )
+    else:
+        with pytest.raises(OpmError, match="binary"):
+            meter.per_cycle(X)
+
+
 def test_meter_accumulator_fits_declared_width():
     qm = quantize_model(_model(), bits=10)
     X = np.ones((256, qm.q), dtype=np.uint8)  # worst case: all toggling

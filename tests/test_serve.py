@@ -40,7 +40,9 @@ from repro.serve import (
 )
 from repro.serve.loadgen import SessionPlan  # noqa: F401  (API surface)
 from repro.serve.protocol import read_frame
+from repro.parallel import WorkerPool
 from repro.stream import SimulatorSource, StreamService, StreamSession
+from repro.stream.source import ProxyBlock
 
 from helpers import random_netlist
 
@@ -293,6 +295,54 @@ def test_gateway_rejects_misuse():
         Gateway(reg, n_shards=0)
     with pytest.raises(ServeError):
         gw.open_session("c1", version="v9")
+
+
+def _source(chunks):
+    """A pull source replaying ``chunks`` as proxy blocks."""
+    start, out = 0, []
+    for i, c in enumerate(chunks):
+        out.append(ProxyBlock(start, c, last=i == len(chunks) - 1))
+        start += c.shape[0]
+    return out
+
+
+@pytest.mark.parametrize("driver", ["service", "gateway", "gateway-pool"])
+def test_non_binary_source_block_is_a_source_error(driver):
+    # One block holding a 2 fails its pull as a source error (counted,
+    # degrade), is never inferred, and leaves every other session's
+    # windows bit-identical to the offline meter.
+    good = [_toggles(6, 16, seed=s) for s in range(3)]
+    bad = [c.copy() for c in good]
+    bad[1][5, 2] = 2
+    qm = _qmodel()
+    expect = OpmMeter(qm, t=4).read(np.concatenate(good))
+    if driver == "service":
+        meter = OpmMeter(qm, t=4)
+        sessions = [
+            StreamSession("bad", _source(bad), meter),
+            StreamSession("good", _source(good), meter),
+        ]
+        StreamService(meter, sessions).run()
+        bad_sess, good_sess = sessions
+        got = good_sess.window_ring.values()
+    else:
+        reg = ModelRegistry()
+        reg.publish("v1", qm, activate=True)
+        pool = WorkerPool(2) if driver == "gateway-pool" else None
+        try:
+            gw = Gateway(reg, n_shards=2, t=4, pool=pool)
+            hb = gw.open_session("bad", source=_source(bad))
+            hg = gw.open_session("good", source=_source(good))
+            gw.drain()
+        finally:
+            if pool is not None:
+                pool.close()
+        bad_sess, good_sess = hb.session, hg.session
+        got = hg.pop_windows()
+    assert bad_sess.source_errors == 1 and bad_sess.degraded_entries == 1
+    assert bad_sess.cycles_processed == 32  # the bad block was skipped
+    assert good_sess.source_errors == 0 and good_sess.health.ok
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_hot_swap_pins_in_flight_sessions():

@@ -38,9 +38,10 @@ from repro.parallel.shm import (
     resident_weights,
     weights_digest,
 )
-from repro.opm import QuantizedModel
+from repro.opm import OpmMeter, QuantizedModel
 from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.serve import Gateway, InprocClient, ModelRegistry
+from repro.serve.shard import pack_toggles
 from repro.stream.session import DrainGroup
 
 pytestmark = pytest.mark.skipif(
@@ -91,7 +92,9 @@ class TestShmArena:
         finally:
             arena.close()
 
-    def test_write_concat_matches_concatenate(self):
+    def test_write_packed_unit_matches_concatenate(self):
+        # A multi-block inference unit, packed and staged as the gateway
+        # stages it, reads back as the packed concatenation.
         arena = ShmArena(lanes=2, slab_bytes=1 << 16)
         try:
             rng = np.random.default_rng(3)
@@ -99,9 +102,9 @@ class TestShmArena:
                 rng.integers(0, 2, size=(n, 7), dtype=np.uint8)
                 for n in (5, 1, 12)
             ]
-            ref = arena.write_concat(mats)
+            ref = arena.write(pack_toggles(mats))
             np.testing.assert_array_equal(
-                arena.view(ref), np.concatenate(mats)
+                arena.view(ref), np.packbits(np.concatenate(mats), axis=1)
             )
         finally:
             arena.close()
@@ -267,7 +270,7 @@ class TestPlaneHygiene:
         script = textwrap.dedent("""
             import time
             import numpy as np
-            from repro.opm import QuantizedModel
+            from repro.opm import OpmMeter, QuantizedModel
             from repro.parallel import WorkerPool
             from repro.serve import Gateway, InprocClient, ModelRegistry
 
@@ -402,6 +405,44 @@ def test_gateway_shm_slab_overflow_falls_back_to_pickle():
     np.testing.assert_array_equal(
         inline.view(np.uint8), shm_out.view(np.uint8)
     )
+
+
+def test_wide_fleet_fits_default_slabs():
+    # 16 sessions x 2048 cycles x Q=512 is 16 MB of toggles per tick;
+    # packed to bits each of the two fused units is 1 MB, well inside
+    # the default 8 MiB request slab, so nothing ships pickled.
+    q, cycles, t = 512, 2048, 32
+    rng = np.random.default_rng(11)
+    qm = QuantizedModel(
+        proxies=np.arange(q, dtype=np.int64),
+        int_weights=rng.integers(0, 512, size=q),
+        int_intercept=300,
+        step=0.01,
+        bits=10,
+    )
+    reg = ModelRegistry()
+    reg.publish("v1", qm, activate=True)
+    pool = WorkerPool(2, transport="shm")
+    try:
+        gw = Gateway(reg, n_shards=4, t=t, pool=pool)
+        client = InprocClient(gw)
+        names = [client.open(f"core{i}") for i in range(16)]
+        stims = [
+            (rng.random((cycles, q)) < 0.3).astype(np.uint8)
+            for _ in names
+        ]
+        for name, stim in zip(names, stims):
+            client.push(name, stim, last=True)
+        gw.drain()
+        assert gw.ticks >= 1
+        assert pool.active_plane.fallbacks == 0
+        meter = OpmMeter(qm, t=t)
+        for name, stim in zip(names, stims):
+            assert client.windows(name).tobytes() == (
+                meter.read(stim).tobytes()
+            )
+    finally:
+        pool.close()
 
 
 def test_coalescing_follows_pool_transport(monkeypatch):
